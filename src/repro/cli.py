@@ -39,14 +39,9 @@ Commands
     and the regression sentinel (``--sentinel``).
 ``report``
     Render the static-HTML run-history dashboard from the store.
-``serve`` / ``submit`` / ``jobs``
-    The layout-advisor job service: run it, submit a program for a
-    verified plan recommendation with per-structure attribution
-    evidence, and inspect/cancel jobs (docs/SERVICE.md).
 ``artifacts``
-    Inspect and maintain the unified content-addressed artifact store
-    (trace cache, sim memo, golden snapshots): stats, legacy-layout
-    migration, prune, fsck.
+    Inspect and maintain the trace cache's content-addressed store:
+    stats, prune, fsck.
 
 ``FILE`` arguments accept either a path to a parallel-C source file or
 the name of a registered workload (``Maxflow``, ``Water``, ...).
@@ -694,142 +689,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service.server import serve
-
-    try:
-        asyncio.run(serve(
-            args.host, args.port,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            retries=args.retries,
-            timeout=args.timeout,
-            port_file=args.port_file,
-        ))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _service_client(args):
-    from repro.service.client import connect
-
-    return connect(address=args.connect, port_file=args.port_file)
-
-
-def _print_job(job: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(job, indent=2, sort_keys=True))
-        return
-    state = job["state"]
-    print(f"{job['id']}: {state} kind={job['kind']} "
-          f"label={job['label']} p={job['nprocs']} b={job['block_size']} "
-          f"(wait {job['queue_wait_seconds']}s, "
-          f"exec {job['exec_seconds']}s, retries {job['retries']})")
-    if job.get("error"):
-        print(f"  error: {job['error']}")
-    res = job.get("result")
-    if not res:
-        return
-    print(f"  plan: {res['plan']}")
-    if res.get("tune"):
-        t = res["tune"]
-        print(f"  tune: {t['strategy']} {t['evaluations']} evals, "
-              f"{'improved' if t['improved'] else 'matched heuristic'} "
-              f"({t['heuristic_score']} -> {t['best_score']})")
-    print(f"  verified: {'yes' if res['verified'] else 'NO'}")
-    nat, rec = res["natural"], res["recommended"]
-    print(f"  false sharing: {nat['fs_misses']} -> {rec['fs_misses']} "
-          f"(removed {res['fs_removed']})")
-    for name, n in sorted(
-        nat["fs_by_structure"].items(), key=lambda kv: -kv[1]
-    )[:6]:
-        after = rec["fs_by_structure"].get(name, 0)
-        print(f"    {name}: {n} -> {after}")
-
-
-def cmd_submit(args) -> int:
-    from repro.service.jobs import JobSpec
-
-    label, source = _resolve_source(args.file)
-    spec = JobSpec(
-        source=source, label=label, kind=args.kind,
-        nprocs=args.nprocs, block_size=args.block_size,
-        objective=args.objective, budget=args.budget, top=args.top,
-        jobs=args.jobs, timeout_seconds=args.timeout,
-        inject_failures=args.inject_failures,
-    )
-    spec.validate()
-    with _service_client(args) as cli:
-        job_id = cli.submit(spec.to_dict())
-        if not args.wait:
-            print(job_id)
-            return 0
-        job = cli.wait(job_id, timeout=args.wait_timeout)
-    _print_job(job, args.json)
-    return 0 if job["state"] == "done" else 1
-
-
-def cmd_jobs(args) -> int:
-    with _service_client(args) as cli:
-        if args.cancel:
-            _print_job(cli.cancel(args.cancel), args.json)
-            return 0
-        if args.stats:
-            stats = cli.stats()
-            print(json.dumps(stats, indent=2, sort_keys=True))
-            return 0
-        if args.shutdown:
-            cli.shutdown()
-            print("[service stopping]", file=sys.stderr)
-            return 0
-        if args.result:
-            job = cli.result(args.result)
-            _print_job(job, args.json)
-            return 0 if job["state"] == "done" else 1
-        jobs = cli.jobs()
-    if args.json:
-        print(json.dumps(jobs, indent=2, sort_keys=True))
-    else:
-        for job in jobs:
-            _print_job(job, False)
-        if not jobs:
-            print("[no jobs]", file=sys.stderr)
-    return 0
-
-
 def cmd_artifacts(args) -> int:
-    from repro.runtime import artifacts
+    from repro.runtime import artifacts, trace_cache
 
-    store = artifacts.ArtifactStore(
-        args.root or artifacts.default_root()
-    )
+    if args.root:
+        store = artifacts.ArtifactStore(args.root)
+    else:
+        store = trace_cache.store()
+        if store is None:
+            raise ReproError(
+                "the trace cache is off (REPRO_TRACE_CACHE); "
+                "name a store with --root"
+            )
     did_something = False
-    if args.migrate:
-        from repro.runtime.trace_cache import cache_dir
-        from repro.verify.golden import default_golden_dir
-
-        report = artifacts.migrate_legacy(
-            store,
-            trace_dir=Path(args.trace_dir) if args.trace_dir
-            else cache_dir(),
-            sim_memo_dir=Path(args.sim_memo_dir) if args.sim_memo_dir
-            else None,
-            golden_dir=Path(args.golden_dir) if args.golden_dir
-            else default_golden_dir(),
-            move=args.move,
-        )
-        print(
-            "[migrated: "
-            f"{report[artifacts.NS_TRACE]} traces, "
-            f"{report[artifacts.NS_SIM]} sim memos, "
-            f"{report[artifacts.NS_GOLDEN]} goldens, "
-            f"{report['skipped']} already present]",
-            file=sys.stderr,
-        )
-        did_something = True
     if args.prune:
         dropped = store.prune()
         print(f"[pruned {dropped} entries]", file=sys.stderr)
@@ -1160,113 +1032,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default="repro run history")
     p.set_defaults(func=cmd_report)
 
-    def connect_opts(p):
-        p.add_argument(
-            "--connect", metavar="HOST:PORT", default=None,
-            help="service address (or use --port-file)",
-        )
-        p.add_argument(
-            "--port-file", metavar="PATH", default=None,
-            help="file where `repro serve --port-file` published its "
-            "address",
-        )
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-
-    p = sub.add_parser(
-        "serve",
-        help="run the layout-advisor job service (see docs/SERVICE.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = ephemeral; see --port-file)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent jobs (each may fan out further "
-                   "via its own --jobs)")
-    p.add_argument("--queue-limit", type=int, default=64,
-                   help="submit backlog bound (excess submits are "
-                   "rejected)")
-    p.add_argument("--retries", type=int, default=None,
-                   help="retry budget for worker-death failures "
-                   "(default 2; also $REPRO_SERVICE_RETRIES)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="default per-attempt wall-clock budget, "
-                   "seconds (default 300; also $REPRO_SERVICE_TIMEOUT)")
-    p.add_argument("--port-file", metavar="PATH", default=None,
-                   help="publish the bound HOST:PORT here once "
-                   "listening")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit a program to a running service for a plan "
-        "recommendation",
-    )
-    p.add_argument("file", help="parallel-C source file or workload name")
-    p.add_argument("-p", "--nprocs", type=int, default=4)
-    p.add_argument("-b", "--block-size", type=int, default=128)
-    p.add_argument("--kind", choices=["tune", "verify", "analyze"],
-                   default="tune",
-                   help="tune: search + verify (default); verify: "
-                   "heuristic plan + oracle only")
-    p.add_argument("--objective", default="fs,cycles",
-                   help="lexicographic tuning objective "
-                   "(default fs,cycles)")
-    p.add_argument("--budget", type=int, default=16,
-                   help="tuner evaluation budget (plans scored)")
-    p.add_argument("--top", type=int, default=4,
-                   help="structures the tuner may vary")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="map_tasks fan-out inside the tune stage")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-attempt wall-clock budget, seconds")
-    p.add_argument("--inject-failures", type=int, default=0,
-                   help=argparse.SUPPRESS)  # CI retry-path hook
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes and print the "
-                   "recommendation")
-    p.add_argument("--wait-timeout", type=float, default=None,
-                   help="give up waiting after this many seconds")
-    connect_opts(p)
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
-        "jobs", help="list/inspect/cancel jobs on a running service"
-    )
-    p.add_argument("--result", metavar="ID", default=None,
-                   help="print one job's full record and result")
-    p.add_argument("--cancel", metavar="ID", default=None)
-    p.add_argument("--stats", action="store_true",
-                   help="service + artifact-store statistics")
-    p.add_argument("--shutdown", action="store_true",
-                   help="drain in-flight jobs and stop the service")
-    connect_opts(p)
-    p.set_defaults(func=cmd_jobs)
-
     p = sub.add_parser(
         "artifacts",
-        help="inspect/maintain the unified content-addressed artifact "
-        "store",
+        help="inspect/maintain the trace cache's content-addressed store",
     )
     p.add_argument("--root", metavar="DIR", default=None,
-                   help="store root (default: $REPRO_ARTIFACTS or "
-                   "~/.cache/repro/artifacts)")
+                   help="store root (default: the trace cache, "
+                   "$REPRO_TRACE_CACHE or ~/.cache/repro/traces)")
     p.add_argument("--stats", action="store_true",
                    help="entry/byte counts per namespace (the default "
                    "action)")
-    p.add_argument("--migrate", action="store_true",
-                   help="import the legacy flat trace-cache, sim-memo "
-                   "and golden-snapshot layouts")
-    p.add_argument("--trace-dir", metavar="DIR", default=None,
-                   help="legacy trace-cache directory (default: the "
-                   "active trace-cache root)")
-    p.add_argument("--sim-memo-dir", metavar="DIR", default=None,
-                   help="legacy flat sim-memo directory")
-    p.add_argument("--golden-dir", metavar="DIR", default=None,
-                   help="golden snapshot directory (default: "
-                   "tests/golden)")
-    p.add_argument("--move", action="store_true",
-                   help="move (not copy) migrated files into the store")
     p.add_argument("--prune", action="store_true",
                    help="delete every entry")
     p.add_argument("--fsck", action="store_true",

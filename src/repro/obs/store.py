@@ -43,12 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.obs import manifest
+from repro.runtime.artifacts import exclusive_lock
 
 #: Default store root when the CLI is not given ``--store``.
 STORE_ENV = "REPRO_OBS_STORE"
@@ -127,23 +127,10 @@ class RunStore:
         (self.root / "shards").mkdir(parents=True, exist_ok=True)
         (self.root / "index").mkdir(parents=True, exist_ok=True)
 
-    @contextmanager
     def _write_lock(self):
-        """Serialize writers via an advisory flock; falls back to
-        lockless operation where flock is unsupported."""
+        """Serialize writers on ``ingest.lock``."""
         self._ensure_dirs()
-        lock = self.root / "ingest.lock"
-        fh = open(lock, "a+")
-        try:
-            try:
-                import fcntl
-
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            except (ImportError, OSError):
-                pass
-            yield
-        finally:
-            fh.close()  # releases the flock
+        return exclusive_lock(self.root / "ingest.lock")
 
     # -- ingest --------------------------------------------------------------
 

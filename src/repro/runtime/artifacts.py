@@ -1,12 +1,8 @@
-"""Unified content-addressed artifact store.
+"""Content-addressed artifact store under the trace cache.
 
-Before this module, the pipeline grew three separate on-disk caches —
-the ``.npz`` trace cache (:mod:`repro.runtime.trace_cache`), the sim
-memo (:mod:`repro.sim.simcache`), and golden snapshots
-(:mod:`repro.verify.golden`) — each with its own layout, no shared
-eviction budget, and no common concurrent-writer story.  The artifact
-store unifies them behind one API, reusing the sharding and ``flock``
-discipline proven in :class:`repro.obs.store.RunStore`:
+The trace cache (:mod:`repro.runtime.trace_cache`) keeps its frozen runs
+in this store, which reuses the sharding and ``flock`` discipline of
+:class:`repro.obs.store.RunStore`:
 
 Layout (under one root directory)::
 
@@ -17,9 +13,8 @@ Layout (under one root directory)::
 
 * **Content-addressed keys** — a key is a SHA-256 hex digest computed
   by the owning subsystem from the artifact's full input identity (the
-  trace cache's run key, the sim memo's geometry tuple, a golden's
-  workload identity).  Entries shard by the key's first hex digit, so
-  hashes spread uniformly and a scan can prune shards independently.
+  trace cache's run key).  Entries shard by the key's first hex digit,
+  so hashes spread uniformly and a scan can prune shards independently.
 * **Atomic publish** — payloads are produced into a temp file in the
   destination shard and published with ``os.replace``; the sidecar is
   written the same way, *after* the payload.  A reader therefore never
@@ -30,32 +25,17 @@ Layout (under one root directory)::
   race safely (last writer wins with an identical payload) and an
   eviction sweep can never interleave with a publish and drop an entry
   it should have exempted.  Readers take no lock.
-* **LRU byte budget** — ``REPRO_ARTIFACTS_MAX_MB`` (generalizing the
-  trace cache's ``REPRO_TRACE_CACHE_MAX_MB``) bounds the store; every
-  read refreshes the payload's mtime and eviction drops the least
-  recently *used* entries first, never the entry just published.
-  Because POSIX ``unlink`` leaves open file handles valid, eviction
-  never invalidates an entry a reader already has open.
+* **LRU byte budget** — ``max_bytes`` (the trace cache passes
+  ``REPRO_TRACE_CACHE_MAX_MB``) bounds the store; every read refreshes
+  the payload's mtime and eviction drops the least recently *used*
+  entries first, never the entry just published.  Because POSIX
+  ``unlink`` leaves open file handles valid, eviction never invalidates
+  an entry a reader already has open.
 * **Integrity on read** — the sidecar records the payload's byte count
-  and SHA-256.  Reads check the size always, and the full digest when
-  ``REPRO_ARTIFACTS_VERIFY=1`` (or via :meth:`ArtifactStore.fsck`);
-  a mismatch or truncation drops the entry with a logged warning and
-  reports a miss, never an error.
-* **Backend seam** — all filesystem primitives go through a
-  :class:`Backend`; :class:`LocalBackend` is the only implementation
-  today, and a future remote store (object storage, a cache service)
-  plugs in behind the same five methods.
-
-Environment knobs
------------------
-
-``REPRO_ARTIFACTS``
-    Default store root (``~/.cache/repro/artifacts`` when unset).
-``REPRO_ARTIFACTS_MAX_MB``
-    LRU byte budget for a store that was not given one explicitly
-    (unset/0 = unbounded).
-``REPRO_ARTIFACTS_VERIFY``
-    ``1`` re-hashes every payload on read (slow; CI and debugging).
+  and SHA-256.  Reads check the size always, and the full digest under
+  ``get(verify=True)`` or :meth:`ArtifactStore.fsck`; a mismatch or
+  truncation drops the entry with a logged warning and reports a miss,
+  never an error.
 """
 
 from __future__ import annotations
@@ -74,37 +54,13 @@ from repro import perf
 
 log = logging.getLogger("repro.artifacts")
 
-ENV_ROOT = "REPRO_ARTIFACTS"
-ENV_MAX_MB = "REPRO_ARTIFACTS_MAX_MB"
-ENV_VERIFY = "REPRO_ARTIFACTS_VERIFY"
-
 SHARD_DIGITS = "0123456789abcdef"
 
-#: Sidecar schema — bump to force a cold re-import.
+#: Sidecar schema — bump to invalidate every entry.
 META_SCHEMA = 1
 
-#: The namespaces the unified store serves today (anything else is
-#: accepted; these are the three legacy caches it absorbed).
+#: The trace cache's namespace (any other name is accepted).
 NS_TRACE = "trace"
-NS_SIM = "sim"
-NS_GOLDEN = "golden"
-
-
-def default_root() -> Path:
-    raw = os.environ.get(ENV_ROOT, "").strip()
-    return Path(raw) if raw else Path.home() / ".cache" / "repro" / "artifacts"
-
-
-def env_max_bytes() -> int:
-    try:
-        mb = float(os.environ.get(ENV_MAX_MB, "0"))
-    except ValueError:
-        return 0
-    return int(mb * 1024 * 1024) if mb > 0 else 0
-
-
-def verify_reads() -> bool:
-    return os.environ.get(ENV_VERIFY, "").strip() == "1"
 
 
 def content_key(*parts: str) -> str:
@@ -114,6 +70,25 @@ def content_key(*parts: str) -> str:
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+@contextmanager
+def exclusive_lock(path: Path):
+    """Hold an advisory ``flock`` on ``path`` (created if missing) for
+    the duration of the block; lockless where flock is unsupported.
+    Both this store and :class:`repro.obs.store.RunStore` serialize
+    their writers through it."""
+    fh = open(path, "a+")
+    try:
+        try:
+            import fcntl
+
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        except (ImportError, OSError):
+            pass
+        yield
+    finally:
+        fh.close()  # releases the flock
 
 
 def _file_sha256(path: Path) -> str:
@@ -129,61 +104,11 @@ def _shard_digit(key: str) -> str:
     return d if d in SHARD_DIGITS else "0"
 
 
-# ---------------------------------------------------------------------------
-# Backend seam
-# ---------------------------------------------------------------------------
-
-
-class Backend:
-    """The filesystem primitives an :class:`ArtifactStore` needs.
-
-    A remote implementation (object store, cache service) provides the
-    same five operations; everything above — keys, sidecars, eviction,
-    integrity — is backend-agnostic.  ``publish`` must be atomic: a
-    concurrent reader sees either the old payload or the new one, never
-    a prefix.
-    """
-
-    def publish(self, tmp: Path, final: Path) -> None:
-        raise NotImplementedError
-
-    def unlink(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def exists(self, path: Path) -> bool:
-        raise NotImplementedError
-
-    def read_bytes(self, path: Path) -> bytes:
-        raise NotImplementedError
-
-    def touch(self, path: Path) -> None:
-        raise NotImplementedError
-
-
-class LocalBackend(Backend):
-    """Plain POSIX filesystem backend (rename-on-publish)."""
-
-    def publish(self, tmp: Path, final: Path) -> None:
-        final.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp, final)
-
-    def unlink(self, path: Path) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def exists(self, path: Path) -> bool:
-        return path.exists()
-
-    def read_bytes(self, path: Path) -> bytes:
-        return path.read_bytes()
-
-    def touch(self, path: Path) -> None:
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
+def _unlink(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +187,7 @@ class ArtifactWriter:
 
     def abort(self) -> None:
         if self.path is not None:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+            _unlink(self.path)
             self.path = None
 
     def __del__(self):  # pragma: no cover - GC safety net
@@ -280,16 +202,13 @@ class ArtifactWriter:
 class ArtifactStore:
     """Content-addressed, 16-shard artifact store rooted at ``root``.
 
-    ``max_bytes`` overrides the environment budget; ``backend``
-    overrides the local filesystem (the remote-store seam).
+    ``max_bytes`` is the LRU byte budget (None/0 = unbounded).
     """
 
     def __init__(self, root: str | Path, *,
-                 max_bytes: Optional[int] = None,
-                 backend: Optional[Backend] = None):
+                 max_bytes: Optional[int] = None):
         self.root = Path(root)
         self._max_bytes = max_bytes
-        self.backend = backend if backend is not None else LocalBackend()
 
     # -- paths --------------------------------------------------------------
 
@@ -303,25 +222,12 @@ class ArtifactStore:
         return self._shard_dir(key) / f"{namespace}--{key}.meta.json"
 
     def max_bytes(self) -> int:
-        return self._max_bytes if self._max_bytes is not None else env_max_bytes()
+        return self._max_bytes or 0
 
-    @contextmanager
     def _write_lock(self):
-        """Serialize publishes/evictions on ``store.lock`` (the
-        :class:`~repro.obs.store.RunStore` discipline); lockless where
-        flock is unsupported."""
+        """Serialize publishes/evictions on ``store.lock``."""
         self.root.mkdir(parents=True, exist_ok=True)
-        fh = open(self.root / "store.lock", "a+")
-        try:
-            try:
-                import fcntl
-
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            except (ImportError, OSError):
-                pass
-            yield
-        finally:
-            fh.close()  # releases the flock
+        return exclusive_lock(self.root / "store.lock")
 
     # -- writes -------------------------------------------------------------
 
@@ -346,29 +252,6 @@ class ArtifactStore:
             return None
         return w.commit()
 
-    def adopt_file(self, namespace: str, key: str, src: Path,
-                   suffix: Optional[str] = None,
-                   *, move: bool = False) -> Optional[ArtifactInfo]:
-        """Import an existing file (legacy-layout migration).  Copies by
-        default; ``move=True`` renames when same-filesystem."""
-        suffix = suffix if suffix is not None else src.suffix
-        w = self.writer(namespace, key, suffix)
-        if not w.active:
-            return None
-        assert w.path is not None
-        try:
-            if move:
-                os.replace(src, w.path)
-            else:
-                import shutil
-
-                shutil.copyfile(src, w.path)
-        except OSError:
-            perf.add("artifacts.store_failed")
-            w.abort()
-            return None
-        return w.commit()
-
     def _publish(self, namespace: str, key: str, tmp: Path,
                  suffix: str) -> ArtifactInfo:
         """Atomically publish ``tmp`` as the entry's payload, write the
@@ -386,14 +269,13 @@ class ArtifactStore:
             "sha256": digest,
         }
         with self._write_lock():
-            self.backend.publish(tmp, final)
-            mpath = self._meta_path(namespace, key)
+            os.replace(tmp, final)
             fd, mtmp = tempfile.mkstemp(
                 dir=final.parent, prefix=".tmp-", suffix=".meta.json"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(meta, fh)
-            self.backend.publish(Path(mtmp), mpath)
+            os.replace(mtmp, self._meta_path(namespace, key))
             self._evict_over_budget(exempt=final)
         perf.add("artifacts.store")
         perf.add("artifacts.store_bytes", size)
@@ -402,9 +284,8 @@ class ArtifactStore:
     # -- reads --------------------------------------------------------------
 
     def _load_meta(self, namespace: str, key: str) -> Optional[dict]:
-        mpath = self._meta_path(namespace, key)
         try:
-            meta = json.loads(self.backend.read_bytes(mpath).decode())
+            meta = json.loads(self._meta_path(namespace, key).read_bytes())
         except (OSError, ValueError):
             return None
         if not isinstance(meta, dict) or meta.get("schema") != META_SCHEMA:
@@ -412,12 +293,12 @@ class ArtifactStore:
         return meta
 
     def get(self, namespace: str, key: str, *,
-            verify: Optional[bool] = None) -> Optional[ArtifactInfo]:
+            verify: bool = False) -> Optional[ArtifactInfo]:
         """Look an entry up, integrity-check it, refresh its recency.
 
         Returns None on miss; a corrupt entry (size mismatch, bad
-        digest under full verification, missing payload) is dropped
-        with a logged warning and reported as a miss.
+        digest under ``verify=True``, missing payload) is dropped with
+        a logged warning and reported as a miss.
         """
         meta = self._load_meta(namespace, key)
         if meta is None:
@@ -432,7 +313,6 @@ class ArtifactStore:
             size = -1
         if problem is None and size != meta.get("bytes"):
             problem = f"size {size} != recorded {meta.get('bytes')}"
-        verify = verify_reads() if verify is None else verify
         if problem is None and verify:
             if _file_sha256(path) != meta.get("sha256"):
                 problem = "sha256 mismatch"
@@ -445,7 +325,10 @@ class ArtifactStore:
             self._drop_entry(namespace, key, meta)
             return None
         perf.add("artifacts.hit")
-        self.backend.touch(path)
+        try:
+            os.utime(path, None)
+        except OSError:
+            pass
         return ArtifactInfo(
             namespace, key, path, int(meta["bytes"]), str(meta["sha256"])
         )
@@ -455,7 +338,7 @@ class ArtifactStore:
         if info is None:
             return None
         try:
-            return self.backend.read_bytes(info.path)
+            return info.path.read_bytes()
         except OSError:
             return None
 
@@ -463,8 +346,8 @@ class ArtifactStore:
                     meta: Optional[dict] = None) -> None:
         meta = meta if meta is not None else self._load_meta(namespace, key)
         if meta is not None and meta.get("file"):
-            self.backend.unlink(self._shard_dir(key) / str(meta["file"]))
-        self.backend.unlink(self._meta_path(namespace, key))
+            _unlink(self._shard_dir(key) / str(meta["file"]))
+        _unlink(self._meta_path(namespace, key))
 
     def delete(self, namespace: str, key: str) -> None:
         with self._write_lock():
@@ -535,8 +418,8 @@ class ArtifactStore:
                 break
             if exempt is not None and info.path == exempt:
                 continue
-            self.backend.unlink(info.path)
-            self.backend.unlink(self._meta_path(info.namespace, info.key))
+            _unlink(info.path)
+            _unlink(self._meta_path(info.namespace, info.key))
             total -= size
             evicted.append(info.name)
             perf.add("artifacts.evicted")
@@ -562,16 +445,14 @@ class ArtifactStore:
         n = 0
         with self._write_lock():
             for info in list(self.entries(namespace)):
-                self.backend.unlink(info.path)
-                self.backend.unlink(
-                    self._meta_path(info.namespace, info.key)
-                )
+                _unlink(info.path)
+                _unlink(self._meta_path(info.namespace, info.key))
                 n += 1
         return n
 
     def fsck(self) -> dict:
-        """Full integrity scan: re-hash every payload, drop corrupt or
-        orphaned entries.  Returns ``{"checked", "dropped": [names]}``."""
+        """Full integrity scan: re-hash every payload, drop corrupt
+        entries.  Returns ``{"checked", "dropped": [names]}``."""
         checked = 0
         dropped: list[str] = []
         with self._write_lock():
@@ -586,80 +467,9 @@ class ArtifactStore:
                 if not ok:
                     self._drop_entry(info.namespace, info.key)
                     dropped.append(info.name)
-            # orphaned payloads (no sidecar) are litter from crashed
-            # pre-store layouts; leave them alone — migration owns them
         if dropped:
             log.warning(
                 "artifact fsck dropped %d corrupt entries (%s)",
                 len(dropped), ", ".join(dropped[:8]),
             )
         return {"checked": checked, "dropped": dropped}
-
-
-# ---------------------------------------------------------------------------
-# Legacy migration
-# ---------------------------------------------------------------------------
-
-
-def migrate_legacy(
-    store: ArtifactStore,
-    *,
-    trace_dir: Optional[Path] = None,
-    sim_memo_dir: Optional[Path] = None,
-    golden_dir: Optional[Path] = None,
-    move: bool = False,
-) -> dict:
-    """Import the three pre-store cache layouts.
-
-    * ``trace_dir``: the flat trace-cache directory (``<key>.npz`` at
-      the top level — the pre-unification layout).  The filename *is*
-      the content key.
-    * ``sim_memo_dir``: a flat directory of ``<key>.json`` sim-memo
-      records.
-    * ``golden_dir``: ``tests/golden``-style snapshot JSONs; the key is
-      derived from each snapshot's identity via :func:`golden_key`.
-
-    Returns per-namespace import counts.  Existing entries are not
-    overwritten (first import wins), so re-running is idempotent.
-    """
-    report = {NS_TRACE: 0, NS_SIM: 0, NS_GOLDEN: 0, "skipped": 0}
-
-    def _import(ns: str, key: str, path: Path, suffix: str) -> None:
-        if store._load_meta(ns, key) is not None:
-            report["skipped"] += 1
-            return
-        if store.adopt_file(ns, key, path, suffix, move=move) is not None:
-            report[ns] += 1
-
-    if trace_dir is not None and trace_dir.exists():
-        for p in sorted(trace_dir.glob("*.npz")):
-            key = p.stem
-            if len(key) == 64 and all(c in "0123456789abcdef" for c in key):
-                _import(NS_TRACE, key, p, ".npz")
-    if sim_memo_dir is not None and sim_memo_dir.exists():
-        for p in sorted(sim_memo_dir.glob("*.json")):
-            key = p.stem
-            if len(key) == 64 and all(c in "0123456789abcdef" for c in key):
-                _import(NS_SIM, key, p, ".json")
-    if golden_dir is not None and golden_dir.exists():
-        for p in sorted(golden_dir.glob("*.json")):
-            try:
-                snap = json.loads(p.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if not isinstance(snap, dict) or "workload" not in snap:
-                continue
-            _import(NS_GOLDEN, golden_key(snap), p, ".json")
-    return report
-
-
-def golden_key(snapshot: dict) -> str:
-    """Deterministic lookup key for one golden snapshot: its identity
-    fields (not its measured contents, so a refreshed snapshot replaces
-    the old entry under the same key)."""
-    kind = "sched" if "steal" in snapshot else "conformance"
-    return content_key(
-        "golden", kind, str(snapshot.get("workload", "")),
-        str(snapshot.get("nprocs", "")),
-        ",".join(str(b) for b in snapshot.get("block_sizes", ())),
-    )

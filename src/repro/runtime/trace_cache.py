@@ -9,15 +9,13 @@ scheduler quantum, step limit)`` — so the complete
 hash of those inputs, and *repeat benchmark runs skip interpretation
 entirely*.
 
-Storage now goes through the unified content-addressed artifact store
+Storage goes through the content-addressed artifact store
 (:mod:`repro.runtime.artifacts`, namespace ``trace``): entries live
 under ``<cache dir>/shards/<hex digit>/trace--<key>.npz`` with an
 integrity sidecar, published atomically under the store's ``flock`` so
-concurrent writers (the parallel experiment lab, service jobs) can race
-on the same key safely and eviction sweeps can never interleave with a
-publish.  Entries written by the pre-store flat layout (``<key>.npz``
-at the cache-directory top level) are adopted into the store lazily on
-first lookup, so a warm legacy cache keeps its hits.
+concurrent writers (the parallel experiment lab) can race on the same
+key safely and eviction sweeps can never interleave with a publish.
+``repro artifacts --stats/--prune/--fsck`` inspects and maintains it.
 
 Small runs hold the four trace columns whole (``proc``/``addr``/
 ``size``/``is_write``); runs at or above ``REPRO_TRACE_SHARD_REFS``
@@ -55,11 +53,9 @@ regenerated; ``prune()`` deletes everything for a fresh start.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
-import time
 import zipfile
 from pathlib import Path
 from typing import Iterator
@@ -149,32 +145,22 @@ def run_key(
     joined the key a steal-mode run would silently replay a cached
     round-robin trace.
     """
-    h = hashlib.sha256()
-    for part in (
+    return artifacts.content_key(
         f"schema={SCHEMA}", source, plan_desc,
         f"nprocs={nprocs}", f"block={block_size}",
         f"quantum={quantum}", f"max_steps={max_steps}",
         f"sched={sched}",
-    ):
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    )
 
 
 def store() -> artifacts.ArtifactStore | None:
     """The artifact store backing this cache (namespace ``trace``),
-    rooted at the cache directory; None when persistence is off.
-
-    The byte budget is ``REPRO_TRACE_CACHE_MAX_MB`` when set, else the
-    store falls back to the generalized ``REPRO_ARTIFACTS_MAX_MB``.
-    """
+    rooted at the cache directory and bounded by
+    ``REPRO_TRACE_CACHE_MAX_MB``; None when persistence is off."""
     root = cache_dir()
     if root is None:
         return None
-    budget = max_bytes()
-    return artifacts.ArtifactStore(
-        root, max_bytes=budget if budget else None
-    )
+    return artifacts.ArtifactStore(root, max_bytes=max_bytes())
 
 
 def entry_path(key: str) -> Path | None:
@@ -186,24 +172,12 @@ def entry_path(key: str) -> Path | None:
 
 
 def _lookup(key: str) -> Path | None:
-    """Resolve ``key`` to a readable payload path, adopting flat
-    pre-store entries into the sharded store on first sight."""
+    """Resolve ``key`` to a readable payload path (None on miss)."""
     st = store()
     if st is None:
         return None
     info = st.get(artifacts.NS_TRACE, key)
-    if info is not None:
-        return info.path
-    legacy = cache_dir() / f"{key}.npz"  # type: ignore[operator]
-    if legacy.exists():
-        adopted = st.adopt_file(
-            artifacts.NS_TRACE, key, legacy, ".npz", move=True
-        )
-        if adopted is not None:
-            perf.add("trace_cache.migrated")
-            return adopted.path
-        return legacy
-    return None
+    return info.path if info is not None else None
 
 
 def _drop(key: str) -> None:
@@ -581,21 +555,8 @@ def store_run(key: str, run: RunResult) -> bool:
 
 
 def prune() -> int:
-    """Delete every cached run (sharded store and any flat pre-store
-    leftovers); returns the number removed."""
-    root = cache_dir()
-    if root is None or not root.exists():
-        return 0
+    """Delete every cached run; returns the number removed."""
     st = store()
-    n = st.prune(artifacts.NS_TRACE) if st is not None else 0
-    for path in root.glob("*.npz"):
-        try:
-            path.unlink()
-            n += 1
-        except OSError:
-            pass
-    return n
-
-
-# re-exported for tests that freeze time deterministically
-_time = time
+    if st is None or not st.root.exists():
+        return 0
+    return st.prune(artifacts.NS_TRACE)

@@ -205,48 +205,6 @@ def diff(expected: dict, actual: dict) -> list[str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Artifact-store integration
-# ---------------------------------------------------------------------------
-#
-# The checked-in JSONs under tests/golden/ stay the CI source of truth;
-# the unified artifact store (namespace "golden") is the *service-side*
-# home for snapshots: `repro artifacts --migrate` imports the legacy
-# directory, and service verify stages publish/consult snapshots without
-# touching the repo checkout.
-
-
-def publish_snapshot(store, snapshot: dict):
-    """Publish one snapshot into an
-    :class:`~repro.runtime.artifacts.ArtifactStore` (namespace
-    ``golden``), keyed by the snapshot's identity so a refresh replaces
-    the stale entry.  Returns the :class:`ArtifactInfo` or None."""
-    from repro.runtime import artifacts
-
-    return store.put_bytes(
-        artifacts.NS_GOLDEN, artifacts.golden_key(snapshot),
-        dumps(snapshot).encode(), ".json",
-    )
-
-
-def load_stored_snapshot(store, snapshot_identity: dict) -> dict | None:
-    """Fetch the stored snapshot matching ``snapshot_identity`` (a dict
-    carrying at least ``workload``/``nprocs``/``block_sizes`` and, for
-    scheduler snapshots, a ``steal`` marker); None on miss."""
-    from repro.runtime import artifacts
-
-    data = store.read_bytes(
-        artifacts.NS_GOLDEN, artifacts.golden_key(snapshot_identity)
-    )
-    if data is None:
-        return None
-    try:
-        got = json.loads(data.decode())
-    except ValueError:
-        return None
-    return got if isinstance(got, dict) else None
-
-
 def fs_not_increased(snapshot: dict) -> list[str]:
     """The metamorphic property: at every recorded block size, the
     transformed version must carry no more false-sharing misses than

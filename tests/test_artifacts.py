@@ -1,15 +1,12 @@
-"""The unified content-addressed artifact store: publish atomicity,
-LRU byte-budget eviction (never dropping an entry out from under an
-open reader), integrity checks on read, legacy-layout migration, and
-the persistent sim memo riding on top of it.
+"""The content-addressed artifact store under the trace cache: publish
+atomicity, LRU byte-budget eviction (never dropping an entry out from
+under an open reader), and integrity checks on read.
 """
 
-import json
 import logging
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.runtime import artifacts
@@ -190,155 +187,3 @@ def test_evict_to_budget_sweep(tmp_path):
     dropped = store.evict_to_budget()
     assert len(dropped) == 3
     assert store.stats()["bytes"] <= 1500
-
-
-# ---------------------------------------------------------------------------
-# satellite: migration round-trip from the three legacy layouts
-# ---------------------------------------------------------------------------
-
-
-def _legacy_layouts(tmp_path):
-    """Build all three pre-store layouts with known content."""
-    trace_dir = tmp_path / "legacy-traces"
-    trace_dir.mkdir()
-    tkey = artifacts.content_key("legacy", "trace")
-    np.savez(trace_dir / f"{tkey}.npz", proc=np.arange(8))
-    (trace_dir / "not-a-key.npz").write_bytes(b"ignored")
-
-    memo_dir = tmp_path / "legacy-memo"
-    memo_dir.mkdir()
-    mkey = artifacts.content_key("legacy", "memo")
-    (memo_dir / f"{mkey}.json").write_text('{"schema": 1}')
-
-    golden_dir = tmp_path / "legacy-golden"
-    golden_dir.mkdir()
-    snap = {
-        "schema": 1, "workload": "Maxflow", "nprocs": 4,
-        "block_sizes": [32, 64], "versions": {},
-    }
-    (golden_dir / "maxflow.json").write_text(json.dumps(snap))
-    (golden_dir / "README.txt").write_text("not json")
-    return trace_dir, memo_dir, golden_dir, tkey, mkey, snap
-
-
-def test_migrate_legacy_roundtrip(tmp_path, store):
-    trace_dir, memo_dir, golden_dir, tkey, mkey, snap = _legacy_layouts(
-        tmp_path
-    )
-    report = artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir,
-    )
-    assert report == {"trace": 1, "sim": 1, "golden": 1, "skipped": 0}
-
-    # trace round-trips through numpy
-    info = store.get(artifacts.NS_TRACE, tkey)
-    with np.load(info.path) as z:
-        np.testing.assert_array_equal(z["proc"], np.arange(8))
-    # memo and golden round-trip as JSON
-    assert json.loads(store.read_bytes(artifacts.NS_SIM, mkey)) == {
-        "schema": 1
-    }
-    gkey = artifacts.golden_key(snap)
-    assert json.loads(store.read_bytes(artifacts.NS_GOLDEN, gkey)) == snap
-
-    # copy mode leaves the legacy files in place
-    assert (trace_dir / f"{tkey}.npz").exists()
-
-    # re-running is idempotent: everything skips, nothing re-imports
-    again = artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir,
-    )
-    assert again == {"trace": 0, "sim": 0, "golden": 0, "skipped": 3}
-
-
-def test_migrate_move_consumes_legacy_files(tmp_path, store):
-    trace_dir, memo_dir, golden_dir, tkey, *_ = _legacy_layouts(tmp_path)
-    artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir, move=True,
-    )
-    assert not (trace_dir / f"{tkey}.npz").exists()
-    assert store.get(artifacts.NS_TRACE, tkey) is not None
-
-
-def test_golden_publish_load_roundtrip(store):
-    from repro.verify import golden
-
-    snap = {
-        "schema": 1, "workload": "Pverify", "nprocs": 4,
-        "block_sizes": [32, 64, 128], "plan": "p",
-        "versions": {"N": {}, "C": {}},
-    }
-    assert golden.publish_snapshot(store, snap) is not None
-    got = golden.load_stored_snapshot(store, snap)
-    assert got == snap
-    # identity (not content) keys the entry: a refreshed snapshot
-    # replaces the old one instead of accumulating
-    snap2 = dict(snap, plan="different")
-    golden.publish_snapshot(store, snap2)
-    assert golden.load_stored_snapshot(store, snap) == snap2
-
-
-# ---------------------------------------------------------------------------
-# the persistent sim memo rides the store
-# ---------------------------------------------------------------------------
-
-
-def _tiny_sim():
-    from repro.runtime.trace import Trace
-    from repro.sim.cache import CacheConfig
-    from repro.sim.simcache import cached_simulate
-
-    rng = np.random.default_rng(7)
-    n = 400
-    trace = Trace(
-        proc=rng.integers(0, 4, n).astype(np.int32),
-        addr=(rng.integers(0, 1 << 12, n) * 4).astype(np.int64),
-        size=np.full(n, 4, np.int32),
-        is_write=(rng.random(n) < 0.3),
-    )
-    return cached_simulate(trace, 4, CacheConfig(block_size=64))
-
-
-def test_sim_memo_persists_across_processes_worth_of_state(
-    tmp_path, monkeypatch
-):
-    from repro.sim import simcache
-
-    monkeypatch.setenv(simcache.ENV_MEMO, str(tmp_path / "memo"))
-    simcache.clear()
-    first = _tiny_sim()
-    simcache.clear()  # simulate a fresh process: in-memory memo gone
-    second = _tiny_sim()
-    assert second.misses.as_tuple() == first.misses.as_tuple()
-    assert second.fs_by_block == first.fs_by_block
-    assert second.fs_pair_by_block == first.fs_pair_by_block
-    assert dict(second.per_proc) == dict(first.per_proc)
-    store = simcache.memo_store()
-    assert store.stats()["namespaces"]["sim"]["entries"] >= 1
-
-
-def test_sim_memo_corrupt_record_recomputed(tmp_path, monkeypatch):
-    from repro.sim import simcache
-
-    monkeypatch.setenv(simcache.ENV_MEMO, str(tmp_path / "memo"))
-    simcache.clear()
-    first = _tiny_sim()
-    store = simcache.memo_store()
-    # corrupt every persisted record in place (valid JSON, wrong shape)
-    for info in list(store.entries(artifacts.NS_SIM)):
-        store.put_bytes(artifacts.NS_SIM, info.key, b'{"schema": 99}')
-    simcache.clear()
-    second = _tiny_sim()
-    assert second.misses.as_tuple() == first.misses.as_tuple()
-
-
-def test_sim_memo_off_by_default(monkeypatch):
-    from repro.sim import simcache
-
-    monkeypatch.delenv(simcache.ENV_MEMO, raising=False)
-    assert simcache.memo_store() is None
-    monkeypatch.setenv(simcache.ENV_MEMO, "0")
-    assert simcache.memo_store() is None

@@ -158,3 +158,41 @@ class TestProfilingCLI:
         assert "1.25s" in row
         # never-recorded workloads render as dashes, not zeros
         assert re.search(r"Water.*—", text)
+
+
+class TestArtifactsCLI:
+    """``repro artifacts`` acts on the trace cache's store by default."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path, monkeypatch):
+        """One interpreted run, persisted by the pipeline itself."""
+        from repro.harness import Pipeline
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
+        assert not Pipeline(COUNTER_SRC).execute(4).from_cache
+
+    def _stats(self, capsys):
+        import json
+
+        assert main(["artifacts", "--stats", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_stats_then_prune(self, stored, capsys):
+        stats = self._stats(capsys)
+        assert stats["entries"] == 1
+        assert stats["namespaces"]["trace"]["entries"] == 1
+        assert main(["artifacts", "--prune"]) == 0
+        assert "[pruned 1 entries]" in capsys.readouterr().err
+        assert self._stats(capsys)["entries"] == 0
+
+    def test_fsck_clean_store(self, stored, capsys):
+        assert main(["artifacts", "--fsck"]) == 0
+        assert "[fsck: 1 checked, 0 dropped]" in capsys.readouterr().err
+
+    def test_cache_off_is_a_one_line_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+        assert main(["artifacts", "--stats"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: the trace cache is off")
+        assert len(err.strip().splitlines()) == 1

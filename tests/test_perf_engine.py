@@ -132,11 +132,11 @@ class TestTraceCache:
     def test_corrupt_entry_dropped(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         key = trace_cache.run_key("s", "p", 2, 128, 4, 100)
-        (tmp_path / f"{key}.npz").write_bytes(b"not an npz")
+        trace_cache.store().put_bytes("trace", key, b"not an npz", ".npz")
         perf.reset()
         assert trace_cache.load_run(key) is None
         assert perf.get("trace_cache.corrupt") == 1.0
-        assert not (tmp_path / f"{key}.npz").exists()
+        assert not trace_cache.entry_path(key).exists()
 
     def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
         """A half-written .npz falls back to recomputation, not a crash.
@@ -171,8 +171,9 @@ class TestTraceCache:
         assert trace_cache.store_run(key_a, vr.run)
         # masquerade A's payload as B's entry (published properly, so
         # only the key echo inside the npz can catch the swap)
-        trace_cache.store().adopt_file(
-            "trace", key_b, trace_cache.entry_path(key_a), ".npz"
+        trace_cache.store().put_bytes(
+            "trace", key_b, trace_cache.entry_path(key_a).read_bytes(),
+            ".npz",
         )
         perf.reset()
         assert trace_cache.load_run(key_b) is None
@@ -195,11 +196,10 @@ class TestTraceCache:
         meta = json.loads(bytes(data["meta"]).decode())
         del meta["key"]
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        doctored = tmp_path / "doctored.npz"
-        np.savez(doctored, **data)
         # republish so the store sidecar matches the doctored payload
-        trace_cache.store().adopt_file("trace", key, doctored, ".npz",
-                                       move=True)
+        writer = trace_cache.store().writer("trace", key, ".npz")
+        np.savez(writer.path, **data)
+        assert writer.commit() is not None
         perf.reset()
         assert trace_cache.load_run(key) is None
         assert perf.get("trace_cache.corrupt") == 1.0

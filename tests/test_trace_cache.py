@@ -1,7 +1,7 @@
 """Persistent trace cache: chunked shards, streaming writer, the
 ``REPRO_TRACE_CACHE_MAX_MB`` LRU size budget, and the unified artifact
-store underneath it (sharded layout, atomic flock'd publish, legacy
-flat-layout adoption, racing concurrent writers).
+store underneath it (sharded layout, atomic flock'd publish, racing
+concurrent writers).
 
 The eviction policy under test: every *load* refreshes an entry's
 recency (mtime), stores enforce the budget afterwards, oldest-unused
@@ -145,22 +145,18 @@ def test_corrupt_entry_dropped(cache):
     assert tc.open_run(key_for(7)) is None
 
 
-def test_legacy_flat_entry_adopted(cache):
-    """A warm pre-store cache (flat ``<key>.npz`` at the root) keeps
-    its hits: the entry is adopted into the sharded store on first
-    lookup and served from there afterwards."""
-    run = make_run(300, seed=8)
-    tc.store_run(key_for(8), run)
-    sharded = tc.entry_path(key_for(8))
-    legacy = cache / f"{key_for(8)}.npz"
-    os.replace(sharded, legacy)  # demote to the pre-store layout
-    tc.store().delete("trace", key_for(8))
-    assert not sharded.exists()
-
-    assert_run_equal(tc.load_run(key_for(8)), run)  # adopted on lookup
-    assert sharded.exists()
-    assert not legacy.exists()
-    assert_run_equal(tc.load_run(key_for(8)), run)  # now store-served
+def test_run_key_values_are_stable():
+    """Keys only change with ``SCHEMA``: a store filled by an earlier
+    build keeps hitting.  Update these values on purpose, with a
+    ``SCHEMA`` bump."""
+    assert tc.SCHEMA == 4
+    assert tc.run_key("src", "plan", 4, 64, 4, 1000) == (
+        "8d27f3f95d33c4ded7ed17bbf8a3bdd0b0b13266f7c1481a58eb834d71b83055"
+    )
+    assert tc.run_key(
+        "int x;", "natural", 8, 128, 4, 10**7,
+        sched="steal:seed=3:grain=16",
+    ) == "fc6ecaaea401864c84c559ae8e6314f2c9392e4ba5732c9944200315fb6bc154"
 
 
 # ---------------------------------------------------------------------------
