@@ -285,7 +285,6 @@ def _finish_profiling(args, profiling: bool) -> None:
 def _record_manifest(
     *, kind: str, label: str, source: str, plan, nprocs: int,
     block_size: int, sim=None, fs_by_structure=None,
-    chunk_size=None, stream=None,
 ) -> None:
     """Append one run record to the ``REPRO_RUN_LOG`` manifest (no-op
     when the log is not configured)."""
@@ -298,8 +297,6 @@ def _record_manifest(
         block_size=block_size,
         sim=sim,
         fs_by_structure=fs_by_structure,
-        chunk_size=chunk_size,
-        stream=stream,
         span_timings=obs.flat_timings() if obs.enabled() else {},
         extra=(
             {"wall_seconds": round(obs.total_seconds(), 6)}

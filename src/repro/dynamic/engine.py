@@ -32,19 +32,25 @@ repairs used here are all realizable by copy + address patch.
 One simulation carries the whole run: the cache/protocol state persists
 across a repair, the relocated placement starts cold (its compulsory
 refills are the modelled cost of the copy), and the abandoned placement
-simply ages out of the LRU sets.  A run with zero repairs is
-**bit-identical** to the plain simulation of the same trace — the
-per-phase event feed is a boundary-free re-slicing of the monolithic
-compacted stream (the :class:`~repro.sim.events.EventChunker` carry
-argument), so the static-vs-dynamic comparison is honest.
+simply ages out of the LRU sets.  That simulation is the shared batch
+driver of :mod:`repro.sim.engine` — a protocol core from
+``_make_core`` fed one phase at a time with
+:func:`~repro.sim.events.build_events` — so MSI machines run on the
+native kernel.  A run with zero repairs is **bit-identical** to the
+plain simulation of the same trace (event compaction never changes a
+simulated result, so compacting each phase on its own is exact), which
+keeps the static-vs-dynamic comparison honest.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from repro import perf
 from repro.analysis import analyze_program
 from repro.analysis.summary import ProgramAnalysis
 from repro.dynamic.overlay import DYN_BASE, AddressOverlay
@@ -52,9 +58,10 @@ from repro.layout.datalayout import DataLayout, _unflatten
 from repro.layout.regions import build_region_map
 from repro.machine.models import resolve_machine
 from repro.rsd.ops import owner_of
-from repro.runtime.trace import RunResult
-from repro.sim.coherence import CoherenceSim, SimResult
-from repro.sim.events import EventChunker
+from repro.runtime.trace import RunResult, Trace
+from repro.sim.coherence import SimResult
+from repro.sim.engine import _export_core_counters, _make_core, resolve_kernel
+from repro.sim.events import build_events
 from repro.transform.plan import Decision, TransformPlan
 from repro.tune.space import PlanAction, _actions_for
 
@@ -207,6 +214,23 @@ def _phase_bounds(run: RunResult) -> list[int]:
     return [0, *marks, n]
 
 
+def _extent(trace: Trace, block_size: int) -> SimpleNamespace:
+    """The run's processor ids and its lowest and highest block: the
+    columns the native kernel's envelope check reads.  Relocations land
+    at :data:`DYN_BASE`, far inside that envelope, so the untranslated
+    trace bounds every phase."""
+    if len(trace) == 0:
+        return SimpleNamespace(proc=trace.proc, block=trace.addr)
+    addr = trace.addr.astype(np.int64, copy=False)
+    size = np.maximum(trace.size.astype(np.int64, copy=False), 1)
+    return SimpleNamespace(
+        proc=trace.proc,
+        block=np.array(
+            [addr.min() // block_size, (addr + size - 1).max() // block_size]
+        ),
+    )
+
+
 def mitigate(
     checked,
     layout: DataLayout,
@@ -236,11 +260,15 @@ def mitigate(
     regions = build_region_map(layout, run.heap_segments)
 
     overlay = AddressOverlay(block_size=block_size)
-    sim = CoherenceSim(nprocs, config)
-    access = sim._access_block
     trace = run.trace
     bounds = _phase_bounds(run)
     dyn_block_lo = DYN_BASE // block_size
+    kernel = resolve_kernel(
+        protocol=config.protocol, events=_extent(trace, block_size)
+    )
+    t0 = time.perf_counter()
+    core = _make_core(kernel, nprocs, config, False)
+    fs_before: dict[int, int] = {}
 
     phases: list[PhaseStat] = []
     repairs: list[Repair] = []
@@ -248,30 +276,26 @@ def mitigate(
 
     for k in range(len(bounds) - 1):
         lo, hi = bounds[k], bounds[k + 1]
-        fs_before = dict(sim.fs_by_block)
-        chunker = EventChunker(block_size)
-        addrs = overlay.translate(trace.addr[lo:hi])
-        for stream in (
-            chunker.feed(
-                trace.proc[lo:hi], addrs, trace.size[lo:hi],
-                trace.is_write[lo:hi],
-            ),
-            chunker.flush(),
-        ):
-            for ev in zip(
-                stream.proc.tolist(), stream.block.tolist(),
-                stream.w_lo.tolist(), stream.w_hi.tolist(),
-                stream.is_write.tolist(), stream.repeat.tolist(),
-            ):
-                access(*ev)
+        with perf.timer(f"sim.kernel.{kernel}"):
+            core.consume(build_events(
+                Trace(
+                    proc=trace.proc[lo:hi],
+                    addr=overlay.translate(trace.addr[lo:hi]),
+                    size=trace.size[lo:hi],
+                    is_write=trace.is_write[lo:hi],
+                ),
+                block_size,
+            ))
+            fs_after = core.fs_by_block()
 
         # per-structure FS delta of this phase (relocated placements are
         # outside the region map — and outside the candidate set anyway)
         delta = {
             b: c - fs_before.get(b, 0)
-            for b, c in sim.fs_by_block.items()
+            for b, c in fs_after.items()
             if c > fs_before.get(b, 0)
         }
+        fs_before = fs_after
         stat = PhaseStat(
             index=k, start=lo, stop=hi, fs_misses=sum(delta.values())
         )
@@ -330,9 +354,13 @@ def mitigate(
                 f"on {r.structure}; {act.why}",
             )
         )
-    result = sim.result(
-        extra_refs=sum(run.private_refs.values()), engine="dynamic"
-    )
+    with perf.timer(f"sim.kernel.{kernel}"):
+        result = core.result(
+            extra_refs=sum(run.private_refs.values()),
+            sim_seconds=time.perf_counter() - t0,
+            engine="dynamic",
+        )
+    _export_core_counters(result)
     return DynamicRun(
         result=result,
         phases=phases,

@@ -205,7 +205,6 @@ def _record_point(wl: Workload, version: str, vr: VersionRun, sim) -> None:
 
     if manifest.log_path() is None:
         return
-    stats = vr.stream_stats
     manifest.record(
         manifest.sim_record(
             kind="experiment",
@@ -218,7 +217,6 @@ def _record_point(wl: Workload, version: str, vr: VersionRun, sim) -> None:
             fs_by_structure=attribution.fs_table(
                 sim, vr.regions()
             ).fs_by_structure,
-            stream=stats.to_dict() if stats is not None else None,
         )
     )
 

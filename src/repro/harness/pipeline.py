@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # circular at runtime: stream imports the interpreter
-    from repro.runtime.stream import StreamStats
+from typing import Optional
 
 from repro import perf
 from repro.obs import spans as obs
@@ -53,9 +50,6 @@ class VersionRun:
     interp_seconds: float = 0.0
     #: True when the run was replayed from the persistent trace cache
     from_cache: bool = False
-    #: producer-consumer accounting when the run went through
-    #: :meth:`Pipeline.simulate_streamed` (None on the batch path)
-    stream_stats: Optional["StreamStats"] = None
     #: lazily built by :meth:`regions` — layout and heap segments are
     #: fixed once the run exists, so one map serves every block size
     _region_map: Optional[RegionMap] = None
@@ -176,100 +170,6 @@ class Pipeline:
             interp_seconds=interp_seconds,
             from_cache=from_cache,
         )
-
-    def simulate_streamed(
-        self,
-        nprocs: int,
-        plan: Optional[TransformPlan] = None,
-        version: str = "N",
-        *,
-        cache_size: int = 32 * 1024,
-        assoc: int = 4,
-        word_invalidate: bool = False,
-        kernel: Optional[str] = None,
-        chunk_refs: Optional[int] = None,
-    ) -> tuple[SimResult, VersionRun]:
-        """Interpret **and** simulate one version with bounded memory.
-
-        Unlike :meth:`execute` + ``VersionRun.simulate`` — which
-        materializes the whole trace between the two stages — this
-        routes trace chunks from the interpreter thread straight into a
-        carry-over protocol core (:mod:`repro.runtime.stream`), so peak
-        memory is O(chunk) regardless of trace length.  Results are
-        bit-identical to the batch path.
-
-        The trace cache still participates: a cached entry is replayed
-        shard by shard (no interpretation, no materialization), and a
-        fresh interpretation persists its chunks through a
-        :class:`~repro.runtime.trace_cache.ShardWriter` as they stream
-        past.  The returned ``VersionRun``'s trace is empty — use
-        :meth:`execute` when the raw reference stream itself is needed.
-        """
-        from repro.runtime.stream import stream_simulate, stream_events
-        from repro.sim import CacheConfig
-        from repro.sim.engine import simulate_event_chunks
-
-        config = CacheConfig(
-            size=cache_size, block_size=self.block_size, assoc=assoc
-        )
-        layout = DataLayout(
-            self.checked, plan, block_size=self.block_size, nprocs=nprocs
-        )
-        key = self._run_key(plan, nprocs)
-        interp_seconds = 0.0
-        stats = None
-        stored = trace_cache.open_run(key)
-        if stored is not None:
-            with stored, obs.span(
-                "pipeline.execute", version=version, nprocs=nprocs,
-                streamed=True, from_cache=True,
-            ):
-                res = simulate_event_chunks(
-                    stream_events(
-                        stored.chunks(), self.block_size,
-                        word_granularity=word_invalidate,
-                    ),
-                    nprocs, config,
-                    word_invalidate=word_invalidate, kernel=kernel,
-                )
-                run = stored.meta
-                res.extra_refs = sum(run.private_refs.values())
-            from_cache = True
-        else:
-            writer = trace_cache.ShardWriter(key)
-            t0 = time.perf_counter()
-            try:
-                with obs.span(
-                    "pipeline.execute", version=version, nprocs=nprocs,
-                    streamed=True, from_cache=False,
-                ):
-                    res, run, stats = stream_simulate(
-                        self.checked, layout, nprocs, config,
-                        word_invalidate=word_invalidate, kernel=kernel,
-                        chunk_refs=chunk_refs, max_steps=self.max_steps,
-                        sink=writer.add if writer.active else None,
-                        sched=self.sched,
-                    )
-            except BaseException:
-                writer.abort()
-                raise
-            interp_seconds = time.perf_counter() - t0
-            perf.add("interp.seconds", interp_seconds)
-            perf.add("interp.runs")
-            writer.finish(run)
-            from_cache = False
-        vrun = VersionRun(
-            version=version,
-            nprocs=nprocs,
-            checked=self.checked,
-            plan=plan,
-            layout=layout,
-            run=run,
-            interp_seconds=interp_seconds,
-            from_cache=from_cache,
-            stream_stats=stats,
-        )
-        return res, vrun
 
     def run_unoptimized(self, nprocs: int) -> VersionRun:
         return self.execute(nprocs, None, "N")

@@ -13,8 +13,8 @@ Three layers, all off (and effectively free) unless asked for:
   breakdowns, cache-line heatmaps, and a diff against the static
   analysis's predictions.
 * **Run manifests** (:mod:`repro.obs.manifest`): one JSONL record per
-  run (source hash, plan, machine, kernel, cache stats, streaming
-  stats, span timings, miss breakdown) appended to ``REPRO_RUN_LOG``.
+  run (source hash, plan, machine, kernel, cache stats, span
+  timings, miss breakdown) appended to ``REPRO_RUN_LOG``.
 
 On top of the manifests sits the run-history layer:
 

@@ -25,14 +25,12 @@ Schema 3 (one JSON object per line)::
       "machine": {"name": "ksr2", "protocol": "msi", "line_size": 128,
                   "cache_size": ..., "assoc": ..., "block_size": ...},
       "kernel": "native" | "python" | null,  # protocol core that ran
-      "chunk_size": 262144 | null,         # refs/chunk of a streamed run
-      "stream": {"chunks_produced": ..., "chunks_consumed": ...,
-                 "queue_high_water": ..., "stall_seconds": ...},
+      "chunk_size": null, "stream": {},     # see below
       "refs": 123456, "trace_len": 120000,
       "misses": {"cold": ..., "replace": ..., "true": ..., "false": ...},
       "fs_by_structure": {"counter": 123, ...},
       "dynamic": {"repairs": 2, "phases": 5, ...},  # runtime-repair counters
-      "perf": {"trace_cache.hit": 1, ...}, # cache/stream/kernel counters
+      "perf": {"trace_cache.hit": 1, ...}, # cache/kernel counters
       "spans": {"pipeline.execute": 0.81, ...}  # seconds per span name
     }
 
@@ -42,6 +40,11 @@ records lack the machine identity (``name``/``protocol``/``line_size``
 the ``dynamic`` repair counters.  :func:`upgrade_record` fills the
 gaps for both vintages, and the readers here (and the manifest store's
 ingest path) upgrade rather than reject them.
+
+``chunk_size`` and ``stream`` described runs of the retired streamed
+interpreter-to-simulator boundary.  New records always carry
+``chunk_size: null`` and ``stream: {}``; the fields stay so older
+records still load and query.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ RUN_LOG_ENV = "REPRO_RUN_LOG"
 SCHEMA = 3
 
 #: perf counters worth persisting (cache behaviour + stage seconds +
-#: streaming-boundary and protocol-core accounting).
+#: protocol-core accounting).
 _PERF_KEYS = (
     "trace_cache.hit",
     "trace_cache.miss",
@@ -71,8 +74,6 @@ _PERF_KEYS = (
     "trace_cache.corrupt",
     "trace_cache.evicted",
     "trace_cache.evicted_bytes",
-    "trace_cache.shards",
-    "trace_cache.shard_chunks",
     "sim_cache.hit",
     "sim_cache.miss",
     "events_cache.hit",
@@ -81,7 +82,6 @@ _PERF_KEYS = (
     "interp.seconds",
     "sim.fast",
     "sim.reference",
-    "sim.stream_chunks",
     "sim.native.runs",
     "sim.native.refs",
     "sim.native.events",
@@ -99,10 +99,6 @@ _PERF_KEYS = (
     "kernel.built",
     "kernel.envelope_fallback",
     "kernel.protocol_fallback",
-    "stream.chunks",
-    "stream.refs",
-    "stream.stall_seconds",
-    "stream.queue_high_water",
     "parallel.points",
 )
 
@@ -173,10 +169,8 @@ def build_record(
     """Assemble one manifest record (pure; does not write).
 
     ``kernel`` names the protocol core that ran (``SimResult.kernel``);
-    ``chunk_size`` is the refs-per-chunk of a streamed run (None for
-    the monolithic path); ``stream`` is
-    :meth:`repro.runtime.stream.StreamStats.to_dict` when the run went
-    through the producer-consumer boundary; ``dynamic`` carries the
+    ``chunk_size`` and ``stream`` are the fields of older streamed
+    records (no current caller sets them); ``dynamic`` carries the
     runtime-repair counters of a dynamic-mitigation run
     (:meth:`repro.dynamic.engine.DynamicRun.counters`).
     """
@@ -221,8 +215,6 @@ def sim_record(
     fs_by_structure: dict | None = None,
     dynamic: dict | None = None,
     machine_name: str | None = None,
-    chunk_size: int | None = None,
-    stream: dict | None = None,
     span_timings: dict | None = None,
     extra: dict | None = None,
 ) -> dict:
@@ -257,8 +249,6 @@ def sim_record(
         block_size=block_size,
         machine=mach,
         kernel=None if sim is None else sim.kernel,
-        chunk_size=chunk_size,
-        stream=stream,
         refs=0 if sim is None else sim.refs + sim.extra_refs,
         trace_len=0 if sim is None else sim.refs,
         misses=(

@@ -46,6 +46,7 @@ ALIASES = {
     "replace": "misses.replace",
     "true": "misses.true",
     "wall": "wall_seconds",
+    # fields of records written by the retired streamed boundary
     "stall": "stream.stall_seconds",
     "queue_high_water": "stream.queue_high_water",
 }

@@ -186,30 +186,6 @@ def span(name: str, **meta):
     return _SpanContext(name, meta)
 
 
-def epoch() -> float:
-    """The ``time.perf_counter()`` value of the trace epoch (span ``t0``
-    values are relative to this)."""
-    return _epoch
-
-
-def manual_span(name: str, t0_abs: float, t1_abs: float, **meta) -> Span:
-    """Build a completed :class:`Span` from absolute ``perf_counter``
-    timestamps.
-
-    This is how concurrent stages that cannot wrap their work in a
-    context manager — e.g. the streaming producer thread, whose lifetime
-    is only known after ``join()`` — are stitched into the span tree:
-    construct the span after the fact and append it to the parent's
-    ``children``.
-    """
-    return Span(
-        name=name,
-        t0=t0_abs - _epoch,
-        dur=max(t1_abs - t0_abs, 0.0),
-        meta=meta,
-    )
-
-
 def roots() -> list[Span]:
     """The completed root spans recorded so far (shared list copies)."""
     with _lock:

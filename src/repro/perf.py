@@ -46,15 +46,6 @@ def get(name: str) -> float:
         return _counters.get(name, 0.0)
 
 
-def peak(name: str, value: float) -> None:
-    """Record a high-water mark: ``name`` keeps the maximum value ever
-    reported (e.g. ``stream.queue_high_water``).  Unlike :func:`add`,
-    repeated reports do not accumulate."""
-    with _lock:
-        if value > _counters.get(name, float("-inf")):
-            _counters[name] = float(value)
-
-
 @contextmanager
 def timer(name: str):
     """Context manager accumulating elapsed seconds into ``name`` and

@@ -110,18 +110,13 @@ class Interpreter:
         *,
         quantum: int = 4,
         max_steps: int = 200_000_000,
-        trace_sink=None,
         sched: SchedConfig | None = None,
     ):
         self.checked = checked
         self.layout = layout
         self.nprocs = nprocs
         self.mem: dict[int, object] = {}
-        #: ``trace_sink`` swaps the materializing buffer for a streaming
-        #: one (same ``append``/``freeze`` protocol — see
-        #: :class:`repro.runtime.stream.ChunkSink`); the interpreter
-        #: itself never holds more than the sink retains.
-        self.trace = trace_sink if trace_sink is not None else TraceBuffer()
+        self.trace = TraceBuffer()
         #: execution model: None resolves REPRO_SCHED/_SEED/_GRAIN
         self.sched_config = sched if sched is not None else resolve_sched()
         if self.sched_config.kind == "steal":

@@ -45,8 +45,8 @@ Configuration
                       (default 16).
 
 :func:`resolve_sched` folds the environment into a :class:`SchedConfig`;
-every execution entry point (``run_program``, ``TraceStream``,
-``Pipeline``, the oracle) accepts an explicit config that overrides it.
+every execution entry point (``run_program``, ``Pipeline``, the
+oracle) accepts an explicit config that overrides it.
 """
 
 from __future__ import annotations

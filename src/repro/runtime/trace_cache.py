@@ -17,14 +17,9 @@ concurrent writers (the parallel experiment lab) can race on the same
 key safely and eviction sweeps can never interleave with a publish.
 ``repro artifacts --stats/--prune/--fsck`` inspects and maintains it.
 
-Small runs hold the four trace columns whole (``proc``/``addr``/
-``size``/``is_write``); runs at or above ``REPRO_TRACE_SHARD_REFS``
-references are stored as **chunked shards** — per-chunk members
-``proc_0000``, ``addr_0000``, … — written incrementally (peak memory
-O(chunk)) and replayable incrementally via :func:`open_run`, which is
-how the streaming simulation boundary replays big workloads without
-ever materializing them.  Either way a JSON ``meta`` member carries the
-scalar counters.
+Each entry holds the four trace columns whole (``proc``/``addr``/
+``size``/``is_write``) plus a JSON ``meta`` member carrying the scalar
+counters.
 
 Environment knobs
 -----------------
@@ -41,9 +36,6 @@ Environment knobs
     total over the budget, least-recently-*used* entries are evicted
     (every cache hit refreshes its entry's mtime) until the directory
     fits, logging what was dropped.  Unset/0 = unbounded.
-``REPRO_TRACE_SHARD_REFS``
-    Reference count at which a stored trace switches to chunked
-    shards (default 1048576; 0 forces sharding off).
 
 Invalidation: keys include :data:`SCHEMA` — bump it whenever the
 interpreter's observable behaviour (addresses, scheduling, counters)
@@ -56,9 +48,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import zipfile
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -79,13 +69,12 @@ SCHEMA = 4
 #: Metadata fields a well-formed entry must carry.
 _REQUIRED_META = (
     "key", "nprocs", "work", "private_refs", "shared_refs",
-    "output", "exit_value", "heap_segments",
+    "output", "exit_value", "heap_segments", "sched", "phase_marks",
 )
 
 _ENV_DIR = "REPRO_TRACE_CACHE"
 _ENV_MIN = "REPRO_TRACE_CACHE_MIN"
 _ENV_MAX_MB = "REPRO_TRACE_CACHE_MAX_MB"
-_ENV_SHARD = "REPRO_TRACE_SHARD_REFS"
 _DISABLED = {"0", "off", "no", "none", "false"}
 
 _COLUMNS = ("proc", "addr", "size", "is_write")
@@ -115,15 +104,6 @@ def max_bytes() -> int:
     except ValueError:
         return 0
     return int(mb * 1024 * 1024) if mb > 0 else 0
-
-
-def shard_refs() -> int:
-    """References per stored shard (0 disables sharding)."""
-    try:
-        n = int(os.environ.get(_ENV_SHARD, str(1 << 20)))
-    except ValueError:
-        return 1 << 20
-    return max(n, 0)
 
 
 def run_key(
@@ -211,12 +191,16 @@ def _run_from_meta(meta: dict, trace: Trace) -> RunResult:
         output=list(meta["output"]),
         exit_value=meta["exit_value"],
         heap_segments=[tuple(seg) for seg in meta["heap_segments"]],
-        sched=meta.get("sched"),
-        phase_marks=[int(m) for m in meta.get("phase_marks", [])],
+        sched=meta["sched"],
+        phase_marks=[int(m) for m in meta["phase_marks"]],
     )
 
 
 def _check_meta(meta: dict, key: str | None) -> None:
+    if "chunks" in meta:
+        raise ValueError(
+            "entry uses the retired chunked-shard layout ('chunks' in meta)"
+        )
     missing = [f for f in _REQUIRED_META if f not in meta]
     if missing:
         raise ValueError(f"metadata missing fields {missing}")
@@ -227,23 +211,6 @@ def _check_meta(meta: dict, key: str | None) -> None:
         )
 
 
-def _chunk_members(i: int) -> tuple[str, ...]:
-    return tuple(f"{c}_{i:04d}" for c in _COLUMNS)
-
-
-def _chunk_trace(z, i: int) -> Trace:
-    pn, an, sn, wn = _chunk_members(i)
-    cols = {name: z[member] for name, member in
-            zip(_COLUMNS, (pn, an, sn, wn))}
-    lengths = {name: len(col) for name, col in cols.items()}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"shard {i} columns disagree on length: {lengths}")
-    return Trace(
-        proc=cols["proc"], addr=cols["addr"],
-        size=cols["size"], is_write=cols["is_write"].astype(bool),
-    )
-
-
 def _validated_run(z, key: str | None) -> RunResult:
     """Decode and *validate* one cache entry; raises on any deformity.
 
@@ -251,21 +218,10 @@ def _validated_run(z, key: str | None) -> RunResult:
     sees: truncated ``.npz`` payloads, garbage bytes, entries written by
     an older layout, and stale-key collisions (a file renamed or a hash
     prefix reused for different inputs) — the ``key`` echoed in the
-    metadata must match the key being asked for.  Handles both the
-    whole-column and the chunked-shard layouts.
+    metadata must match the key being asked for.
     """
     meta = json.loads(bytes(z["meta"]).decode())
     _check_meta(meta, key)
-    nchunks = int(meta.get("chunks", 0))
-    if nchunks:
-        chunks = [_chunk_trace(z, i) for i in range(nchunks)]
-        trace = Trace(
-            proc=np.concatenate([c.proc for c in chunks]),
-            addr=np.concatenate([c.addr for c in chunks]),
-            size=np.concatenate([c.size for c in chunks]),
-            is_write=np.concatenate([c.is_write for c in chunks]),
-        )
-        return _run_from_meta(meta, trace)
     columns = {name: z[name] for name in _COLUMNS}
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) != 1:
@@ -304,80 +260,6 @@ def load_run(key: str) -> RunResult | None:
     return run
 
 
-class StoredRun:
-    """Streaming view of one persisted run.
-
-    ``meta`` is the :class:`~repro.runtime.trace.RunResult` counters
-    with an *empty* trace; :meth:`chunks` yields the trace as
-    :class:`~repro.runtime.trace.Trace` chunks, reading one shard at a
-    time (whole-column entries yield a single chunk).  Keep the handle
-    open while iterating; it is a context manager.
-    """
-
-    def __init__(self, path: Path):
-        self._path = path
-        self._z = np.load(path, allow_pickle=False)
-        meta = json.loads(bytes(self._z["meta"]).decode())
-        _check_meta(meta, None)
-        self.nchunks = int(meta.get("chunks", 0))
-        empty = Trace(
-            proc=np.empty(0, np.int32), addr=np.empty(0, np.int64),
-            size=np.empty(0, np.int32), is_write=np.empty(0, bool),
-        )
-        self.meta = _run_from_meta(meta, empty)
-
-    def chunks(self) -> Iterator[Trace]:
-        if self.nchunks == 0:
-            yield _whole_trace(self._z)
-            return
-        for i in range(self.nchunks):
-            yield _chunk_trace(self._z, i)
-
-    def close(self) -> None:
-        self._z.close()
-
-    def __enter__(self) -> "StoredRun":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _whole_trace(z) -> Trace:
-    columns = {name: z[name] for name in _COLUMNS}
-    lengths = {name: len(col) for name, col in columns.items()}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"trace columns disagree on length: {lengths}")
-    return Trace(
-        proc=columns["proc"], addr=columns["addr"],
-        size=columns["size"], is_write=columns["is_write"].astype(bool),
-    )
-
-
-def open_run(key: str) -> StoredRun | None:
-    """Open a persisted run for **chunk-streamed replay** (the
-    simulation side never materializes the whole trace).  None on
-    miss/corruption/disabled; corrupt entries are dropped."""
-    path = _lookup(key)
-    if path is None:
-        perf.add("trace_cache.miss")
-        return None
-    try:
-        stored = StoredRun(path)
-        if stored.meta is None:  # pragma: no cover - defensive
-            raise ValueError("no metadata")
-    except Exception as e:
-        perf.add("trace_cache.corrupt")
-        log.warning(
-            "trace cache entry %s is unusable (%s: %s); dropping it",
-            path.name, type(e).__name__, e,
-        )
-        _drop(key)
-        return None
-    perf.add("trace_cache.hit")
-    return stored
-
-
 def load_file(path: str | Path) -> RunResult:
     """Decode one explicitly named cache entry, validating its shape.
 
@@ -406,128 +288,11 @@ def load_file(path: str | Path) -> RunResult:
         ) from e
 
 
-class ShardWriter:
-    """Incremental writer for a chunked cache entry.
-
-    Feed trace chunks with :meth:`add` as they stream past (peak memory
-    O(chunk)); :meth:`finish` seals the entry with its metadata and
-    atomically publishes it.  :meth:`abort` (or ``finish`` never being
-    called) leaves no trace in the cache directory.
-    """
-
-    def __init__(self, key: str):
-        self.key = key
-        self._zf: zipfile.ZipFile | None = None
-        self._writer: artifacts.ArtifactWriter | None = None
-        self._n = 0
-        self._refs = 0
-        st = store()
-        if st is None:
-            return
-        self._writer = st.writer(artifacts.NS_TRACE, key, ".npz")
-        if not self._writer.active:
-            perf.add("trace_cache.store_failed")
-            self._writer = None
-            return
-        try:
-            self._zf = zipfile.ZipFile(
-                open(self._writer.path, "wb"), "w", zipfile.ZIP_STORED
-            )
-        except OSError:
-            perf.add("trace_cache.store_failed")
-            self._cleanup()
-
-    @property
-    def active(self) -> bool:
-        return self._zf is not None
-
-    def _member(self, name: str, arr: np.ndarray) -> None:
-        assert self._zf is not None
-        with self._zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-            np.save(fh, arr)
-
-    def add(self, chunk: Trace) -> None:
-        if self._zf is None or len(chunk) == 0:
-            return
-        try:
-            pn, an, sn, wn = _chunk_members(self._n)
-            self._member(pn, chunk.proc)
-            self._member(an, chunk.addr)
-            self._member(sn, chunk.size)
-            self._member(wn, chunk.is_write)
-            self._n += 1
-            self._refs += len(chunk)
-            perf.add("trace_cache.shard_chunks")
-        except OSError:
-            perf.add("trace_cache.store_failed")
-            self._cleanup()
-
-    def finish(self, run: RunResult) -> bool:
-        """Seal and publish; False when the entry was not written
-        (disabled cache, too small, or an I/O failure along the way)."""
-        if self._zf is None:
-            return False
-        if self._refs < min_refs():
-            self._cleanup()
-            return False
-        meta = _meta_dict(self.key, run)
-        meta["chunks"] = self._n
-        try:
-            self._member("meta", np.frombuffer(
-                json.dumps(meta).encode(), dtype=np.uint8
-            ))
-            self._zf.close()
-            self._zf = None
-            assert self._writer is not None
-            if self._writer.commit() is None:
-                perf.add("trace_cache.store_failed")
-                self._writer = None
-                return False
-            self._writer = None
-        except OSError:
-            perf.add("trace_cache.store_failed")
-            self._cleanup()
-            return False
-        perf.add("trace_cache.store")
-        perf.add("trace_cache.shards", self._n)
-        return True
-
-    def abort(self) -> None:
-        self._cleanup()
-
-    def _cleanup(self) -> None:
-        if self._zf is not None:
-            try:
-                self._zf.close()
-            except OSError:
-                pass
-            self._zf = None
-        if self._writer is not None:
-            self._writer.abort()
-            self._writer = None
-
-
 def store_run(key: str, run: RunResult) -> bool:
-    """Persist ``run`` under ``key``; returns True when written.
-
-    Traces at or above ``REPRO_TRACE_SHARD_REFS`` references are stored
-    chunked (replayable shard by shard); smaller ones keep the compact
-    whole-column layout.
-    """
+    """Persist ``run`` under ``key``; returns True when written."""
     st = store()
     if st is None or len(run.trace) < min_refs():
         return False
-    shard = shard_refs()
-    if shard and len(run.trace) >= shard:
-        writer = ShardWriter(key)
-        tr = run.trace
-        for start in range(0, len(tr), shard):
-            stop = min(start + shard, len(tr))
-            writer.add(Trace(
-                proc=tr.proc[start:stop], addr=tr.addr[start:stop],
-                size=tr.size[start:stop], is_write=tr.is_write[start:stop],
-            ))
-        return writer.finish(run)
     meta = json.dumps(_meta_dict(key, run)).encode()
     writer = st.writer(artifacts.NS_TRACE, key, ".npz")
     if not writer.active:

@@ -13,14 +13,8 @@ from repro.sim.coherence import (
     SimResult,
     simulate_trace,
 )
-from repro.sim.engine import (
-    active_engine,
-    simulate,
-    simulate_event_chunks,
-    simulate_trace_chunked,
-    simulate_trace_fast,
-)
-from repro.sim.events import EventChunker, EventStream, build_events
+from repro.sim.engine import simulate_trace_fast
+from repro.sim.events import EventStream, build_events
 from repro.sim.kernel import active_kernel, kernel_mode
 from repro.sim.simcache import cached_events, cached_simulate
 from repro.sim.metrics import (
@@ -46,14 +40,9 @@ __all__ = [
     "MissCounts",
     "SimResult",
     "simulate_trace",
-    "active_engine",
     "active_kernel",
     "kernel_mode",
-    "simulate",
-    "simulate_event_chunks",
-    "simulate_trace_chunked",
     "simulate_trace_fast",
-    "EventChunker",
     "EventStream",
     "build_events",
     "cached_events",

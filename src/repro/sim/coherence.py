@@ -146,7 +146,8 @@ class SimResult:
     extra_refs: int = 0
     #: wall-clock seconds spent in the simulation (instrumentation)
     sim_seconds: float = 0.0
-    #: which path produced this result ("reference" | "fast")
+    #: which path produced this result ("reference" | "fast" | "dynamic",
+    #: the last for :func:`repro.dynamic.mitigate`'s phase-by-phase run)
     engine: str = "reference"
     #: which protocol core ran the event loop ("python" | "native")
     kernel: str = "python"
@@ -466,8 +467,9 @@ def simulate_trace(
     normalized to all memory references.  ``word_invalidate`` switches
     to the Dubois et al. [DSR+93] per-word invalidation hardware.
 
-    The vectorized fast path lives in :func:`repro.sim.engine.simulate`;
-    this function remains the ground truth it is validated against.
+    The vectorized fast path lives in
+    :func:`repro.sim.engine.simulate_events`; this function remains the
+    ground truth it is validated against.
     """
     import time as _time
 

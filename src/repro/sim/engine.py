@@ -7,11 +7,10 @@ bit-identical to :func:`repro.sim.coherence.simulate_trace` (enforced by
 ``tests/test_engine_equivalence.py``, ``tests/test_kernel.py`` and the
 hypothesis property suites).
 
-Two orthogonal selections compose here:
-
-Engine — ``REPRO_SIM_ENGINE``
-    * ``fast`` (default): vectorized precompute + compaction;
-    * ``reference``: the original per-reference Python loop.
+There is one driver: :func:`build_events` → :func:`simulate_events`,
+running on a protocol core made by :func:`_make_core`.  A core keeps its
+cache/directory state across ``consume`` calls, which is how
+:func:`repro.dynamic.mitigate` feeds one simulation phase by phase.
 
 Protocol core (kernel) — ``REPRO_SIM_KERNEL``
     * ``auto`` (default): the compiled C kernel of
@@ -20,36 +19,25 @@ Protocol core (kernel) — ``REPRO_SIM_KERNEL``
     * ``python``: always the :class:`~repro.sim.coherence.CoherenceSim`
       reference core.
 
-The kernel only applies to the fast engine's block-invalidate mode;
-``word_invalidate=True`` and the reference engine always run the Python
-core.
-
-Streaming
----------
-
-:func:`simulate_event_chunks` consumes an *iterable* of event chunks
-with carry-over protocol state, so a trace never has to be materialized
-whole: peak memory is O(chunk).  :func:`simulate_trace_chunked` slices
-an in-memory trace through the same path (the equivalence-testing
-harness for the streaming boundary); the real producer-consumer
-pipeline lives in :mod:`repro.runtime.stream`.
+The kernel only applies to block-invalidate MSI simulation;
+``word_invalidate=True`` and MESI machines always run the Python core.
+The per-reference :func:`repro.sim.coherence.simulate_trace` loop stays
+as the oracle the fast path is checked against
+(``cached_simulate(engine="reference")``).
 
 Everything above this module (``simulate_run``, the KSR2 timing model,
 the experiment drivers) goes through :func:`repro.sim.simcache.cached_simulate`,
 which memoizes results per (trace fingerprint, geometry, engine,
-kernel, chunking) on top of this.
+kernel) on top of this.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time as _time
-from typing import Iterable, Iterator
 
 from repro import perf
 from repro.errors import SimulationError
-from repro.obs import spans as obs
 from repro.runtime.trace import Trace
 from repro.sim.cache import CacheConfig
 from repro.sim.coherence import CoherenceSim, SimResult
@@ -61,25 +49,12 @@ from repro.sim.kernel import (
     chunk_fits,
     kernel_mode,
 )
-from repro.sim.events import EventChunker, EventStream, build_events
+from repro.sim.events import EventStream, build_events
 
 log = logging.getLogger("repro.sim.engine")
 
-#: Environment knob naming the simulation engine to use.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
 FAST = "fast"
 REFERENCE = "reference"
-
-
-def active_engine() -> str:
-    """The engine selected by ``REPRO_SIM_ENGINE`` (default: fast)."""
-    name = os.environ.get(ENGINE_ENV, FAST).strip().lower() or FAST
-    if name not in (FAST, REFERENCE):
-        raise ValueError(
-            f"{ENGINE_ENV} must be '{FAST}' or '{REFERENCE}', got {name!r}"
-        )
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +63,7 @@ def active_engine() -> str:
 
 
 class _PythonCore:
-    """The reference protocol core behind the chunk-consumer interface."""
+    """The reference protocol core behind the event-consumer interface."""
 
     __slots__ = ("sim",)
 
@@ -107,6 +82,10 @@ class _PythonCore:
             events.repeat.tolist(),
         ):
             step(*ev)
+
+    def fs_by_block(self) -> dict[int, int]:
+        """Snapshot of the false-sharing misses per block so far."""
+        return dict(self.sim.fs_by_block)
 
     def result(self, *, extra_refs: int, sim_seconds: float,
                engine: str) -> SimResult:
@@ -226,112 +205,6 @@ def simulate_events(
     return res
 
 
-def simulate_event_chunks(
-    chunks: Iterable[EventStream],
-    nprocs: int,
-    config: CacheConfig,
-    *,
-    word_invalidate: bool = False,
-    extra_refs: int = 0,
-    kernel: str | None = None,
-) -> SimResult:
-    """Run the protocol over a *stream* of event chunks with carry-over
-    cache/directory state.
-
-    Bit-identical to :func:`simulate_events` over the concatenated
-    stream; peak memory is O(largest chunk) instead of O(trace).  The
-    kernel is resolved up front (a core cannot be swapped mid-stream);
-    in ``auto`` mode a chunk that later escapes the native envelope
-    raises rather than silently corrupting results.
-    """
-    t0 = _time.perf_counter()
-    resolved = resolve_kernel(
-        word_invalidate=word_invalidate, kernel=kernel,
-        protocol=config.protocol,
-    )
-    n_chunks = 0
-    n_events = 0
-    with obs.span(
-        "sim.stream", kernel=resolved, nprocs=nprocs,
-        block_size=config.block_size,
-    ) as sp:
-        with perf.timer(f"sim.kernel.{resolved}"):
-            core = _make_core(resolved, nprocs, config, word_invalidate)
-            for events in chunks:
-                if word_invalidate and not events.word_granularity:
-                    raise ValueError(
-                        "word_invalidate needs word_granularity event chunks"
-                    )
-                core.consume(events)
-                n_chunks += 1
-                n_events += len(events)
-            res = core.result(
-                extra_refs=extra_refs,
-                sim_seconds=_time.perf_counter() - t0,
-                engine=FAST,
-            )
-        perf.add("sim.stream_chunks", n_chunks)
-        _export_core_counters(res)
-        if sp is not None:
-            sp.meta["chunks"] = n_chunks
-            sp.meta["events"] = n_events
-            sp.meta["invalidations"] = res.invalidations
-            sp.meta["writebacks"] = res.writebacks
-            sp.meta["upgrades"] = res.upgrades
-    return res
-
-
-def iter_trace_chunks(trace: Trace, chunk_refs: int) -> Iterator[tuple]:
-    """Slice a materialized trace into column chunks of ``chunk_refs``
-    references (testing/replay helper)."""
-    n = len(trace)
-    for start in range(0, n, chunk_refs):
-        stop = min(start + chunk_refs, n)
-        yield (
-            trace.proc[start:stop],
-            trace.addr[start:stop],
-            trace.size[start:stop],
-            trace.is_write[start:stop],
-        )
-
-
-def simulate_trace_chunked(
-    trace: Trace,
-    nprocs: int,
-    config: CacheConfig,
-    chunk_refs: int,
-    *,
-    extra_refs: int = 0,
-    word_invalidate: bool = False,
-    kernel: str | None = None,
-) -> SimResult:
-    """Simulate an in-memory trace through the streaming boundary:
-    chunked event precompute (with compaction carry) feeding a
-    carry-over protocol core.  Exists so the streaming path can be
-    equivalence-tested against the monolithic one on identical input.
-    """
-    if chunk_refs <= 0:
-        raise ValueError(f"chunk_refs must be positive, got {chunk_refs}")
-    chunker = EventChunker(
-        config.block_size, word_granularity=word_invalidate
-    )
-
-    def gen() -> Iterator[EventStream]:
-        for cols in iter_trace_chunks(trace, chunk_refs):
-            ev = chunker.feed(*cols)
-            if len(ev):
-                yield ev
-        tail = chunker.flush()
-        if len(tail):
-            yield tail
-
-    return simulate_event_chunks(
-        gen(), nprocs, config,
-        word_invalidate=word_invalidate, extra_refs=extra_refs,
-        kernel=kernel,
-    )
-
-
 def simulate_trace_fast(
     trace: Trace,
     nprocs: int,
@@ -356,31 +229,3 @@ def simulate_trace_fast(
         word_invalidate=word_invalidate, extra_refs=extra_refs,
         kernel=kernel,
     )
-
-
-def simulate(
-    trace: Trace,
-    nprocs: int,
-    config: CacheConfig,
-    *,
-    extra_refs: int = 0,
-    word_invalidate: bool = False,
-    engine: str | None = None,
-    kernel: str | None = None,
-) -> SimResult:
-    """Simulate ``trace`` with the selected engine (uncached)."""
-    from repro.sim.coherence import simulate_trace
-
-    engine = engine or active_engine()
-    if engine == REFERENCE:
-        with perf.timer("sim.reference"):
-            return simulate_trace(
-                trace, nprocs, config,
-                extra_refs=extra_refs, word_invalidate=word_invalidate,
-            )
-    with perf.timer("sim.fast"):
-        return simulate_trace_fast(
-            trace, nprocs, config,
-            extra_refs=extra_refs, word_invalidate=word_invalidate,
-            kernel=kernel,
-        )

@@ -77,21 +77,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.block)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(
-            a.nbytes
-            for a in (
-                self.proc, self.block, self.w_lo, self.w_hi,
-                self.is_write, self.repeat,
-            )
-        )
-
-    @property
-    def compaction_ratio(self) -> float:
-        """Fraction of block accesses removed by compaction."""
-        return 1.0 - len(self.block) / self.n_refs if self.n_refs else 0.0
-
     def slice(self, start: int, stop: int) -> "EventStream":
         """A zero-copy view of events ``[start:stop)`` (``n_refs`` is
         recomputed from the slice's repeat counts)."""
@@ -214,112 +199,3 @@ def _build(
         w_lo=w_lo[kept], w_hi=w_hi[kept],
         is_write=is_write[kept], repeat=repeat, n_refs=m,
     )
-
-
-class EventChunker:
-    """Streaming counterpart of :func:`build_events`.
-
-    Feed raw trace chunks in order; each :meth:`feed` returns an
-    :class:`EventStream` ready for the simulator, and :meth:`flush`
-    drains the tail.  The concatenation of everything emitted is
-    **identical** — event for event, repeat for repeat — to
-    ``build_events`` over the whole trace, regardless of how the trace
-    was chunked (property-tested across chunk sizes in
-    ``tests/test_stream.py``).
-
-    The trick is a one-event *carry*: run-length compaction folds an
-    event into its immediate predecessor, so the final compacted event
-    of a chunk cannot be emitted until the next chunk's head has had a
-    chance to fold into it.  The chunker therefore holds it back and
-    prepends it to the next chunk before compacting — the emitted
-    stream is then a boundary-free re-slicing of the monolithic one,
-    which is what makes chunked simulation bit-identical.
-    """
-
-    __slots__ = ("block_size", "word_granularity", "compact", "_carry")
-
-    def __init__(self, block_size: int, *, word_granularity: bool = False,
-                 compact: bool = True):
-        self.block_size = block_size
-        self.word_granularity = word_granularity
-        self.compact = compact
-        #: held-back last compacted event: (proc, block, w_lo, w_hi,
-        #: is_write, repeat) scalars, or None
-        self._carry: tuple | None = None
-
-    def _emit(self, proc, block, w_lo, w_hi, is_write, repeat) -> EventStream:
-        return EventStream(
-            block_size=self.block_size,
-            word_granularity=self.word_granularity,
-            proc=proc, block=block, w_lo=w_lo, w_hi=w_hi,
-            is_write=is_write, repeat=repeat,
-            n_refs=int(repeat.sum()),
-        )
-
-    def feed(self, proc_col, addr_col, size_col, write_col) -> EventStream:
-        """Ingest one trace chunk (four parallel columns); returns the
-        events that are final as of this chunk (possibly empty)."""
-        if len(addr_col) == 0:
-            return _empty_stream(self.block_size, self.word_granularity)
-        proc, block, w_lo, w_hi, is_write = _split_columns(
-            proc_col, addr_col, size_col, write_col, self.block_size
-        )
-        m = len(block)
-        perf.add("events.split_refs", m)
-        if not self.compact:
-            return self._emit(
-                proc, block, w_lo, w_hi, is_write,
-                np.ones(m, dtype=np.int64),
-            )
-        carry_rep = 1
-        if self._carry is not None:
-            cp, cb, cl, ch, cw, carry_rep = self._carry
-            proc = np.concatenate(([cp], proc))
-            block = np.concatenate(([cb], block))
-            w_lo = np.concatenate(([cl], w_lo))
-            w_hi = np.concatenate(([ch], w_hi))
-            is_write = np.concatenate(([cw], is_write)).astype(bool)
-            m += 1
-        if m >= 2:
-            drop = _drop_mask(
-                proc, block, w_lo, w_hi, is_write, self.word_granularity
-            )
-            keep = np.empty(m, dtype=bool)
-            keep[0] = True
-            np.logical_not(drop, out=keep[1:])
-            kept = np.flatnonzero(keep)
-            repeat = np.diff(np.append(kept, m))
-            perf.add("events.compacted_refs", m - len(kept))
-        else:
-            kept = np.zeros(1, dtype=np.int64)
-            repeat = np.ones(1, dtype=np.int64)
-        if self._carry is not None:
-            # the carried event was already a compacted run of carry_rep
-            repeat[0] += carry_rep - 1
-        # Hold back the final compacted event: the next chunk's head may
-        # still fold into it.
-        last = kept[-1]
-        self._carry = (
-            int(proc[last]), int(block[last]), int(w_lo[last]),
-            int(w_hi[last]), bool(is_write[last]), int(repeat[-1]),
-        )
-        sel = kept[:-1]
-        return self._emit(
-            proc[sel], block[sel], w_lo[sel], w_hi[sel], is_write[sel],
-            repeat[:-1],
-        )
-
-    def flush(self) -> EventStream:
-        """Emit the held-back tail event; the chunker is reusable after."""
-        if self._carry is None or not self.compact:
-            return _empty_stream(self.block_size, self.word_granularity)
-        cp, cb, cl, ch, cw, crep = self._carry
-        self._carry = None
-        return self._emit(
-            np.array([cp], dtype=np.int64),
-            np.array([cb], dtype=np.int64),
-            np.array([cl], dtype=np.int64),
-            np.array([ch], dtype=np.int64),
-            np.array([cw], dtype=bool),
-            np.array([crep], dtype=np.int64),
-        )

@@ -241,13 +241,13 @@ def _as_i64(a: np.ndarray) -> np.ndarray:
 
 class NativeSim:
     """One native simulation: state carries over between
-    :meth:`consume` calls, so chunked and monolithic event feeds
-    produce identical results.
+    :meth:`consume` calls, so a phase-by-phase feed and a monolithic
+    one produce identical results.
 
     Raises :class:`~repro.errors.SimulationError` when a chunk leaves
-    the kernel envelope — streaming callers cannot silently switch
-    cores mid-run, so ``auto`` mode checks eligibility *before*
-    constructing one of these (see :mod:`repro.sim.engine`).
+    the kernel envelope — a caller feeding several chunks cannot
+    silently switch cores mid-run, so ``auto`` mode checks eligibility
+    *before* constructing one of these (see :mod:`repro.sim.engine`).
     """
 
     __slots__ = ("_lib", "_handle", "nprocs", "config")
@@ -295,6 +295,32 @@ class NativeSim:
                 _RUN_ERRORS.get(rc, f"native kernel error {rc}")
             )
 
+    def _stats(self) -> np.ndarray:
+        stats = np.zeros(8, dtype=np.int64)
+        self._lib.sim_stats(self._handle, stats.ctypes.data_as(_I64P))
+        return stats
+
+    def _export_blocks(self, nblocks: int):
+        """Per-block ``(block, misses, false-sharing misses)`` columns."""
+        blocks = np.zeros(nblocks, dtype=np.int64)
+        miss = np.zeros(nblocks, dtype=np.int64)
+        fs = np.zeros(nblocks, dtype=np.int64)
+        if nblocks:
+            self._lib.sim_export_blocks(
+                self._handle,
+                blocks.ctypes.data_as(_I64P),
+                miss.ctypes.data_as(_I64P),
+                fs.ctypes.data_as(_I64P),
+            )
+        return blocks, miss, fs
+
+    def fs_by_block(self) -> dict[int, int]:
+        """Snapshot of the false-sharing misses per block so far (the
+        same contents as the Python core's ``fs_by_block``)."""
+        blocks, _miss, fs = self._export_blocks(int(self._stats()[6]))
+        nz = np.flatnonzero(fs)
+        return dict(zip(blocks[nz].tolist(), fs[nz].tolist()))
+
     def result(self, *, extra_refs: int = 0, sim_seconds: float = 0.0,
                engine: str = "fast"):
         """Materialize the accumulated state as a
@@ -303,10 +329,8 @@ class NativeSim:
         from repro.sim.coherence import PerProcCounts, SimResult
 
         lib = self._lib
-        stats = np.zeros(8, dtype=np.int64)
-        lib.sim_stats(self._handle, stats.ctypes.data_as(_I64P))
         refs, _time, invalidations, writebacks, upgrades, npids, nblocks, \
-            npairs = (int(x) for x in stats)
+            npairs = (int(x) for x in self._stats())
 
         counts = np.zeros((_MAX_PROCS_ROWS, 4), dtype=np.int64)
         pids = np.zeros(_MAX_PROCS_ROWS, dtype=np.int32)
@@ -320,16 +344,7 @@ class NativeSim:
         rows = max(self.nprocs + 1, max((p + 2 for p in pids_seen), default=0))
         proc_counts = counts[: max(rows, 1)].copy()
 
-        blocks = np.zeros(nblocks, dtype=np.int64)
-        miss = np.zeros(nblocks, dtype=np.int64)
-        fs = np.zeros(nblocks, dtype=np.int64)
-        if nblocks:
-            lib.sim_export_blocks(
-                self._handle,
-                blocks.ctypes.data_as(_I64P),
-                miss.ctypes.data_as(_I64P),
-                fs.ctypes.data_as(_I64P),
-            )
+        blocks, miss, fs = self._export_blocks(nblocks)
         miss_by_block = {
             int(b): int(m) for b, m in zip(blocks, miss) if m
         }

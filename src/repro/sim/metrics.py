@@ -164,9 +164,8 @@ def simulate_run(
     machine's shape.
 
     Routed through the fast-path engine and the per-trace result memo
-    (:mod:`repro.sim.simcache`); set ``engine="reference"`` — or export
-    ``REPRO_SIM_ENGINE=reference`` — to force the original
-    one-reference-at-a-time simulator."""
+    (:mod:`repro.sim.simcache`); set ``engine="reference"`` to force
+    the original one-reference-at-a-time simulator."""
     from repro.machine.models import resolve_machine
 
     model = resolve_machine(machine)

@@ -25,7 +25,12 @@ from repro.obs import spans as obs
 from repro.runtime.trace import Trace
 from repro.sim.cache import CacheConfig
 from repro.sim.coherence import SimResult
-from repro.sim.engine import REFERENCE, active_engine, simulate_trace_fast
+from repro.sim.engine import (
+    FAST,
+    REFERENCE,
+    resolve_kernel,
+    simulate_trace_fast,
+)
 from repro.sim.events import EventStream, build_events
 
 #: Bounds (entries) for the two memo tables.
@@ -68,28 +73,24 @@ def cached_simulate(
     word_invalidate: bool = False,
     engine: str | None = None,
     kernel: str | None = None,
-    chunk_refs: int | None = None,
 ) -> SimResult:
     """Simulate with the selected engine, memoizing per
-    (trace fingerprint, geometry, engine, kernel, chunking).
+    (trace fingerprint, geometry, engine, kernel).
 
-    The *resolved* kernel variant (native vs python) and the chunking
-    parameters are part of the memo key: two configurations that are
-    merely asserted equivalent must never share a cache slot, or a bug
-    in one could masquerade as the other's result (regression-tested in
-    ``tests/test_kernel.py``).
-
-    ``chunk_refs`` routes the simulation through the streaming boundary
-    (:func:`repro.sim.engine.simulate_trace_chunked`) in chunks of that
-    many references; ``None`` simulates the trace monolithically.
+    ``engine`` is ``"fast"`` (default: the event driver of
+    :mod:`repro.sim.engine`) or ``"reference"`` (the per-reference
+    :func:`~repro.sim.coherence.simulate_trace` oracle).  The
+    *resolved* kernel variant (native vs python) is part of the memo
+    key: two configurations that are merely asserted equivalent must
+    never share a cache slot, or a bug in one could masquerade as the
+    other's result (regression-tested in ``tests/test_kernel.py``).
 
     The returned ``SimResult`` is shared between callers — treat it as
     read-only.
     """
     from repro.sim.coherence import simulate_trace
-    from repro.sim.engine import resolve_kernel, simulate_trace_chunked
 
-    engine = engine or active_engine()
+    engine = engine or FAST
     if engine == REFERENCE:
         resolved_kernel = "python"
     else:
@@ -100,7 +101,7 @@ def cached_simulate(
     key = (
         trace.fingerprint, nprocs, config.size, config.block_size,
         config.assoc, config.protocol, word_invalidate, extra_refs, engine,
-        resolved_kernel, chunk_refs or 0,
+        resolved_kernel,
     )
     got = _results.get(key)
     if got is not None:
@@ -120,13 +121,6 @@ def cached_simulate(
                 got = simulate_trace(
                     trace, nprocs, config,
                     extra_refs=extra_refs, word_invalidate=word_invalidate,
-                )
-        elif chunk_refs:
-            with perf.timer("sim.fast"):
-                got = simulate_trace_chunked(
-                    trace, nprocs, config, chunk_refs,
-                    extra_refs=extra_refs, word_invalidate=word_invalidate,
-                    kernel=resolved_kernel,
                 )
         else:
             events = cached_events(

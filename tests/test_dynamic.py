@@ -1,10 +1,13 @@
 """Dynamic mitigation subsystem tests: the addressing overlay, the
 phase-mark plumbing, the engine's honesty property (zero repairs ==
 plain simulation, bit for bit), actual FS reduction with a verified
-equivalence plan, and the `fs_pair_by_block` conservation law under
-both schedulers (the signal the engine folds per phase)."""
+equivalence plan, agreement of the Python and native protocol cores
+under it, and the `fs_pair_by_block` conservation law under both
+schedulers (the signal the engine folds per phase)."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,12 +18,17 @@ from repro.dynamic import (
     AddressOverlay,
     mitigate,
 )
-from repro.errors import ReproError
+from repro import perf
+from repro.errors import ReproError, SimulationError
 from repro.lang import compile_source
 from repro.layout import DataLayout
+from repro.machine import get_machine
 from repro.runtime import run_program, trace_cache
 from repro.runtime.stealing import RR, SchedConfig
-from repro.sim import simulate_run
+from repro.runtime.trace import Trace
+from repro.sim import build_events, simulate_run
+from repro.sim import kernel as K
+from repro.sim.engine import simulate_events
 from repro.verify.oracle import diff_states, observe
 
 NPROCS = 4
@@ -284,6 +292,102 @@ class TestEngine:
         checked, layout, run = interpret(COUNTER_SRC)
         dyn = mitigate(checked, layout, run, nprocs=NPROCS, block_size=64)
         assert all(r.phase < len(run.phase_marks) for r in dyn.repairs)
+
+
+# ---------------------------------------------------------------------------
+# The shared protocol core: Python and native kernels agree under mitigate
+# ---------------------------------------------------------------------------
+
+HAVE_NATIVE = K.load_kernel() is not None
+
+needs_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="native kernel unavailable (no C compiler "
+    "or REPRO_SIM_KERNEL=python)"
+)
+
+KERNELS = ["python", pytest.param("native", marks=needs_native)]
+
+
+@pytest.fixture
+def kernel_mode(monkeypatch):
+    """Set ``REPRO_SIM_KERNEL`` for the rest of the test, forgetting the
+    memoized kernel load so the new mode takes effect."""
+    def use(mode):
+        monkeypatch.setenv(K.KERNEL_ENV, mode)
+        K.reset_for_tests()
+    yield use
+    K.reset_for_tests()
+
+
+class TestSharedCore:
+    @pytest.fixture(scope="class")
+    def hot(self):
+        return interpret(HOT_SRC)
+
+    @staticmethod
+    def run(hot, machine="ksr2"):
+        checked, layout, run = hot
+        return mitigate(
+            checked, layout, run,
+            nprocs=NPROCS, block_size=64, machine=machine,
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_cores_agree(self, hot, kernel, kernel_mode):
+        kernel_mode("python")
+        want = self.run(hot)
+        kernel_mode(kernel)
+        got = self.run(hot)
+        assert got.result.kernel == kernel
+        assert got.repairs, "the comparison should cover a repaired run"
+        assert got.phases == want.phases
+        assert got.repairs == want.repairs
+        assert got.plan.describe() == want.plan.describe()
+        assert got.counters() == want.counters()
+        g, w = got.result, want.result
+        assert g.misses.as_tuple() == w.misses.as_tuple()
+        assert (g.invalidations, g.writebacks, g.upgrades, g.refs) == (
+            w.invalidations, w.writebacks, w.upgrades, w.refs,
+        )
+        assert g.fs_by_block == w.fs_by_block
+        assert g.fs_pair_by_block == w.fs_pair_by_block
+
+    @needs_native
+    def test_msi_runs_native_under_auto(self, hot, kernel_mode):
+        kernel_mode("auto")
+        assert self.run(hot).result.kernel == "native"
+
+    @needs_native
+    def test_forced_native_rejects_mesi_like_simulate_events(
+        self, hot, kernel_mode
+    ):
+        kernel_mode("native")
+        run = hot[2]
+        config = get_machine("modern64").cache_config(64)
+        with pytest.raises(SimulationError) as batch:
+            simulate_events(build_events(run.trace, 64), NPROCS, config)
+        with pytest.raises(SimulationError) as dyn:
+            self.run(hot, machine="modern64")
+        assert str(dyn.value) == str(batch.value)
+        assert "\n" not in str(dyn.value)
+
+    @needs_native
+    def test_out_of_envelope_run_falls_back_under_auto(
+        self, hot, kernel_mode
+    ):
+        checked, layout, run = hot
+        proc = run.trace.proc.copy()
+        proc[-1] = K.MAX_PROC + 1
+        trace = Trace(
+            proc=proc, addr=run.trace.addr, size=run.trace.size,
+            is_write=run.trace.is_write,
+        )
+        wide = dataclasses.replace(run, trace=trace)
+        kernel_mode("auto")
+        perf.reset()
+        dyn = self.run((checked, layout, wide))
+        assert dyn.result.kernel == "python"
+        assert perf.get("kernel.envelope_fallback") == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.sim import (
     simulate_trace,
     simulate_trace_fast,
 )
-from repro.sim.engine import simulate
 from repro.workloads.registry import SIMULATION_WORKLOADS
 
 
@@ -118,10 +117,8 @@ def test_workload_equivalence(wl, block_size, workload_run):
     run = workload_run(wl)
     cfg = CacheConfig(size=32 * 1024, block_size=block_size, assoc=4)
     extra = sum(run.private_refs.values())
-    ref = simulate(
-        run.trace, run.nprocs, cfg, extra_refs=extra, engine="reference"
-    )
-    fast = simulate(run.trace, run.nprocs, cfg, extra_refs=extra, engine="fast")
+    ref = simulate_trace(run.trace, run.nprocs, cfg, extra_refs=extra)
+    fast = simulate_trace_fast(run.trace, run.nprocs, cfg, extra_refs=extra)
     assert_equivalent(fast, ref)
 
 
@@ -131,10 +128,8 @@ def test_workload_equivalence(wl, block_size, workload_run):
 def test_workload_equivalence_word_invalidate(wl, workload_run):
     run = workload_run(wl)
     cfg = CacheConfig(size=32 * 1024, block_size=128, assoc=4)
-    ref = simulate(
-        run.trace, run.nprocs, cfg, word_invalidate=True, engine="reference"
-    )
-    fast = simulate(
-        run.trace, run.nprocs, cfg, word_invalidate=True, engine="fast"
+    ref = simulate_trace(run.trace, run.nprocs, cfg, word_invalidate=True)
+    fast = simulate_trace_fast(
+        run.trace, run.nprocs, cfg, word_invalidate=True
     )
     assert_equivalent(fast, ref)

@@ -23,15 +23,11 @@ KNOBS = {
     "REPRO_SCHED",
     "REPRO_SCHED_GRAIN",
     "REPRO_SCHED_SEED",
-    "REPRO_SIM_ENGINE",
     "REPRO_SIM_KERNEL",
     "REPRO_TRACE_CACHE",
     "REPRO_TRACE_CACHE_MAX_MB",
     "REPRO_TRACE_CACHE_MIN",
-    "REPRO_TRACE_CHUNK",
     "REPRO_TRACE_OUT",
-    "REPRO_TRACE_QUEUE",
-    "REPRO_TRACE_SHARD_REFS",
     "REPRO_VERIFY_BREAK",
 }
 

@@ -21,7 +21,6 @@ from repro.sim import simcache
 from repro.sim.engine import (
     resolve_kernel,
     simulate_events,
-    simulate_trace_chunked,
     simulate_trace_fast,
 )
 from repro.workloads.registry import SIMULATION_WORKLOADS
@@ -209,7 +208,7 @@ def test_result_reports_kernel():
 
 
 # ---------------------------------------------------------------------------
-# simcache keying regression (kernel variant + chunking params)
+# simcache keying regression (kernel variant, engine)
 # ---------------------------------------------------------------------------
 
 
@@ -222,25 +221,6 @@ def _memo_trace():
         size=np.full(n, 4, np.int32),
         is_write=(rng.random(n) < 0.5),
     )
-
-
-def test_simcache_keys_on_chunking():
-    """Chunked and monolithic simulations of the same (trace, geometry)
-    must occupy *different* memo slots — they are asserted equivalent,
-    so sharing a slot would let a chunking bug hide behind the memo."""
-    simcache.clear()
-    trace = _memo_trace()
-    cfg = CacheConfig(size=512, block_size=32, assoc=2)
-    mono = simcache.cached_simulate(trace, 4, cfg)
-    chunked = simcache.cached_simulate(trace, 4, cfg, chunk_refs=7)
-    assert chunked is not mono  # separate computation, separate slot
-    assert_same_result(chunked, mono)
-    # repeat lookups hit their own slots
-    assert simcache.cached_simulate(trace, 4, cfg) is mono
-    assert simcache.cached_simulate(trace, 4, cfg, chunk_refs=7) is chunked
-    # a different chunk size is a different slot again
-    other = simcache.cached_simulate(trace, 4, cfg, chunk_refs=64)
-    assert other is not chunked and other is not mono
 
 
 @needs_native
@@ -268,22 +248,3 @@ def test_simcache_reference_engine_keys_python():
     assert ref is not fast
     assert ref.engine == "reference" and fast.engine == "fast"
     assert_same_result(fast, ref)
-
-
-# ---------------------------------------------------------------------------
-# chunked streaming equals monolithic (native side; the full property
-# matrix lives in tests/test_stream.py)
-# ---------------------------------------------------------------------------
-
-
-@needs_native
-@pytest.mark.parametrize("chunk_refs", [1, 7, 4096])
-def test_native_chunked_matches_monolithic(chunk_refs):
-    trace = _memo_trace()
-    cfg = CacheConfig(size=512, block_size=32, assoc=2)
-    mono = simulate_trace_fast(trace, 4, cfg, kernel="native")
-    chunked = simulate_trace_chunked(
-        trace, 4, cfg, chunk_refs, kernel="native"
-    )
-    assert chunked.kernel == "native"
-    assert_same_result(chunked, mono)

@@ -182,27 +182,57 @@ class TestTraceCache:
         assert trace_cache.load_run(key_a) is not None
 
     def test_missing_meta_fields_rejected(self, tmp_path, monkeypatch):
-        """Entries from an older layout (no key echo) are recomputed."""
+        """Entries from an older layout — no key echo, no ``sched`` or
+        ``phase_marks``, or the retired chunked-shard layout — are
+        recomputed by ``load_run`` and raise a one-line ``ReproError``
+        from ``load_file``."""
         import json
+        import re
+
+        from repro.errors import ReproError
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
         key = trace_cache.run_key("src", "plan", 2, 128, 4, 100)
-        assert trace_cache.store_run(key, vr.run)
-        path = trace_cache.entry_path(key)
-        with np.load(path, allow_pickle=False) as z:
-            data = {name: z[name] for name in z.files}
-        meta = json.loads(bytes(data["meta"]).decode())
-        del meta["key"]
-        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        # republish so the store sidecar matches the doctored payload
-        writer = trace_cache.store().writer("trace", key, ".npz")
-        np.savez(writer.path, **data)
-        assert writer.commit() is not None
-        perf.reset()
-        assert trace_cache.load_run(key) is None
-        assert perf.get("trace_cache.corrupt") == 1.0
+
+        def drop(field):
+            def doctor(meta, data):
+                del meta[field]
+            return doctor
+
+        def chunked(meta, data):
+            meta["chunks"] = 1
+            for col in ("proc", "addr", "size", "is_write"):
+                data[f"{col}_0000"] = data.pop(col)
+
+        cases = [
+            (drop("key"), "missing fields ['key']"),
+            (drop("sched"), "missing fields ['sched']"),
+            (drop("phase_marks"), "missing fields ['phase_marks']"),
+            (chunked, "chunked-shard layout"),
+        ]
+        for doctor, reason in cases:
+            assert trace_cache.store_run(key, vr.run)
+            path = trace_cache.entry_path(key)
+            with np.load(path, allow_pickle=False) as z:
+                data = {name: z[name] for name in z.files}
+            meta = json.loads(bytes(data["meta"]).decode())
+            doctor(meta, data)
+            data["meta"] = np.frombuffer(
+                json.dumps(meta).encode(), dtype=np.uint8
+            )
+            # republish so the store sidecar matches the doctored payload
+            writer = trace_cache.store().writer("trace", key, ".npz")
+            np.savez(writer.path, **data)
+            assert writer.commit() is not None
+            with pytest.raises(ReproError, match=re.escape(reason)) as err:
+                trace_cache.load_file(path)
+            assert "\n" not in str(err.value)
+            perf.reset()
+            assert trace_cache.load_run(key) is None
+            assert perf.get("trace_cache.corrupt") == 1.0
+            assert not path.exists()
 
     def test_key_sensitivity(self):
         k = trace_cache.run_key("s", "p", 2, 128, 4, 100)

@@ -137,26 +137,6 @@ def test_steal_trace_identical_misses_across_kernels(counter_steal, kernel):
     )
 
 
-def test_streamed_path_matches_batch_under_steal(monkeypatch, tmp_path):
-    """O(chunk)-memory streaming replays the same stochastic schedule."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
-    cfg = SchedConfig("steal", seed=11)
-    batch = Pipeline(COUNTER_SRC, block_size=64, sched=cfg)
-    vr = batch.execute(NPROCS)
-    want = vr.simulate(64).misses
-    streamed = Pipeline(COUNTER_SRC, block_size=64, sched=cfg)
-    res, svr = streamed.simulate_streamed(NPROCS, chunk_refs=128)
-    got = res.misses
-    assert (got.cold, got.replace, got.true_sharing, got.false_sharing) == (
-        want.cold,
-        want.replace,
-        want.true_sharing,
-        want.false_sharing,
-    )
-    assert svr.run.sched == vr.run.sched
-    assert svr.run.output == vr.run.output
-
-
 def test_different_seeds_diverge():
     """Seeds must explore distinct interleavings, not relabel one."""
     fps = {

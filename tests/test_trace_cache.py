@@ -1,4 +1,4 @@
-"""Persistent trace cache: chunked shards, streaming writer, the
+"""Persistent trace cache: the whole-column entry layout, the
 ``REPRO_TRACE_CACHE_MAX_MB`` LRU size budget, and the unified artifact
 store underneath it (sharded layout, atomic flock'd publish, racing
 concurrent writers).
@@ -42,7 +42,6 @@ def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
     monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
     monkeypatch.delenv("REPRO_TRACE_CACHE_MAX_MB", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_SHARD_REFS", raising=False)
     return tmp_path
 
 
@@ -62,76 +61,16 @@ def assert_run_equal(got, want):
 
 
 # ---------------------------------------------------------------------------
-# chunked shards
+# entry layout
 # ---------------------------------------------------------------------------
 
 
-def test_sharded_roundtrip(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_SHARD_REFS", "1000")
-    run = make_run(3500, seed=1)
-    assert tc.store_run(key_for(1), run)
-    assert_run_equal(tc.load_run(key_for(1)), run)
-
-
-def test_open_run_streams_shards(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_SHARD_REFS", "1000")
-    run = make_run(3500, seed=2)
-    tc.store_run(key_for(2), run)
-    with tc.open_run(key_for(2)) as stored:
-        assert stored.nchunks == 4
-        assert len(stored.meta.trace) == 0  # counters only
-        assert stored.meta.output == run.output
-        chunks = list(stored.chunks())
-    assert [len(c) for c in chunks] == [1000, 1000, 1000, 500]
-    np.testing.assert_array_equal(
-        np.concatenate([c.addr for c in chunks]), run.trace.addr
-    )
-
-
-def test_small_runs_stay_whole_column(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_SHARD_REFS", "1000")
+def test_small_runs_stay_whole_column(cache):
     run = make_run(400, seed=3)
-    tc.store_run(key_for(3), run)
-    with tc.open_run(key_for(3)) as stored:
-        assert stored.nchunks == 0
-        chunks = list(stored.chunks())
-    assert len(chunks) == 1 and len(chunks[0]) == 400
+    assert tc.store_run(key_for(3), run)
+    with np.load(tc.entry_path(key_for(3)), allow_pickle=False) as z:
+        assert sorted(z.files) == ["addr", "is_write", "meta", "proc", "size"]
     assert_run_equal(tc.load_run(key_for(3)), run)
-
-
-def test_shard_writer_streams(cache):
-    """The writer used by the streaming pipeline: chunks in, one
-    atomic entry out, no temp litter on abort."""
-    run = make_run(2600, seed=4)
-    w = tc.ShardWriter(key_for(4))
-    assert w.active
-    tr = run.trace
-    for start in range(0, len(tr), 777):
-        stop = min(start + 777, len(tr))
-        w.add(Trace(
-            proc=tr.proc[start:stop], addr=tr.addr[start:stop],
-            size=tr.size[start:stop], is_write=tr.is_write[start:stop],
-        ))
-    assert w.finish(run)
-    assert_run_equal(tc.load_run(key_for(4)), run)
-
-    aborted = tc.ShardWriter(key_for(5))
-    aborted.add(Trace(
-        proc=tr.proc[:100], addr=tr.addr[:100],
-        size=tr.size[:100], is_write=tr.is_write[:100],
-    ))
-    aborted.abort()
-    assert tc.load_run(key_for(5)) is None
-    assert not list(cache.rglob(".tmp-*")), "aborted writer left temp files"
-
-
-def test_shard_writer_respects_min_refs(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "5000")
-    run = make_run(100, seed=6)
-    w = tc.ShardWriter(key_for(6))
-    w.add(run.trace)
-    assert not w.finish(run)  # below the persistence floor
-    assert tc.load_run(key_for(6)) is None
 
 
 def test_corrupt_entry_dropped(cache):
@@ -142,7 +81,6 @@ def test_corrupt_entry_dropped(cache):
     path.write_bytes(b"not a zip file")
     assert tc.load_run(key_for(7)) is None
     assert not path.exists()  # dropped, not left to poison every run
-    assert tc.open_run(key_for(7)) is None
 
 
 def test_run_key_values_are_stable():
