@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import perf
 from repro.obs import spans as obs
 from repro.analysis import ProgramAnalysis, analyze_program
 from repro.lang import CheckedProgram, compile_source
@@ -46,7 +45,8 @@ class VersionRun:
     plan: Optional[TransformPlan]
     layout: DataLayout
     run: RunResult
-    #: wall-clock seconds spent interpreting (0.0 on a cache hit)
+    #: wall-clock seconds spent in ``run_program`` — interpreting, or
+    #: translating from an earlier run (0.0 on a cache hit)
     interp_seconds: float = 0.0
     #: True when the run was replayed from the persistent trace cache
     from_cache: bool = False
@@ -153,8 +153,6 @@ class Pipeline:
                         max_steps=self.max_steps, sched=self.sched,
                     )
                     interp_seconds = time.perf_counter() - t0
-                    perf.add("interp.seconds", interp_seconds)
-                    perf.add("interp.runs")
                     trace_cache.store_run(key, run)
                 else:
                     from_cache = True

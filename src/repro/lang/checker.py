@@ -46,6 +46,11 @@ class CheckedProgram:
     program: A.Program
     symtab: SymbolTable
     spawn_sites: list[SpawnSite] = field(default_factory=list)
+    #: first interpreted run per (nprocs, quantum, max_steps, schedule),
+    #: the source :func:`repro.runtime.interpreter.run_program`
+    #: translates later indirection-free layouts from; it lives and dies
+    #: with this compiled program
+    run_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def worker_names(self) -> list[str]:

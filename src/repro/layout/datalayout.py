@@ -31,8 +31,9 @@ Address-space map (sparse; nothing is actually this big)::
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import TransformError
 from repro.lang import ctypes as T
@@ -64,6 +65,17 @@ def _verify_break() -> str:
 
 #: A concrete access step: ("idx", i) or ("field", name).
 Step = tuple[str, object]
+
+#: Logical coordinates of one shared byte (see :meth:`DataLayout.locate`):
+#: ``(space, key, steps, residual)`` where ``space`` is ``"global"`` (key:
+#: the global's name), ``"heap"`` (key: the heap segment's index) or
+#: ``"sync"`` (key: the fixed address), and ``residual`` is the byte
+#: offset inside the scalar the steps reach.
+Location = tuple[str, object, tuple[Step, ...], int]
+
+#: A heap object as :meth:`DataLayout.locate` sees it: (address, size,
+#: element type).
+HeapObject = tuple[int, int, T.CType]
 
 
 @dataclass(slots=True)
@@ -102,6 +114,9 @@ class DataLayout:
         self._group_addr: dict[tuple[str, tuple[str, ...]], dict[int, int]] = {}
         self._grouped_paths: dict[str, set[tuple[str, ...]]] = {}
         self.group_region_size = 0
+        #: sorted indexes behind :meth:`locate`, built on first use
+        self._locate_globals: Optional[tuple[list[int], list[GlobalInfo]]] = None
+        self._locate_group: Optional[tuple[list[int], list[tuple]]] = None
         self._build_structs()
         self._build_globals()
         self._build_group_region()
@@ -395,6 +410,145 @@ class DataLayout:
                 addr += fld.offset
                 ty = fld.type
         return addr, ty
+
+    # -- heap placement ----------------------------------------------------------------------
+
+    def heap_place(self, cursor: int, ty: T.CType, count: int) -> tuple[int, int]:
+        """(address, size) of an ``alloc``/``alloc_array`` of ``count``
+        elements of ``ty`` bumped from ``cursor``: the one heap-placement
+        rule, shared by the interpreter and the run translator."""
+        size = self.sizeof(ty) * max(count, 1)
+        align = max(self.alignof(ty), 8)
+        return _round_up(cursor, align), size
+
+    # -- inverse resolution -----------------------------------------------------------------
+
+    def overlapping(self) -> bool:
+        """True when some global's extent runs into the next global's
+        base (only the ``REPRO_VERIFY_BREAK=pad_align`` sabotage does
+        this); :meth:`locate` is ambiguous then."""
+        _, infos = self._global_index()
+        return any(
+            g.base + self._extent(g) > nxt.base for g, nxt in zip(infos, infos[1:])
+        )
+
+    def _extent(self, g: GlobalInfo) -> int:
+        ty = g.type
+        if g.elem_stride is not None and isinstance(ty, T.ArrayType):
+            return (ty.nelems - 1) * g.elem_stride + self.sizeof(ty.elem)
+        return self.sizeof(ty)
+
+    def locate(self, addr: int, heap: Sequence[HeapObject] = ()) -> Optional[Location]:
+        """Logical coordinates of a shared address: the inverse of
+        :meth:`materialize` (and of pointer hops into ``heap``, the
+        run's allocations in address order).
+
+        None when ``addr`` is in no object or field — padding, a gap, an
+        arena — or when the coordinates found do not materialize back to
+        ``addr`` (a grouped member's vacated natural slot).
+        """
+        if addr >= SYNC_BASE:
+            return ("sync", addr, (), 0)
+        if addr >= HEAP_BASE:
+            i = bisect_right(heap, addr, key=lambda h: h[0]) - 1
+            if i < 0 or addr >= heap[i][0] + heap[i][1]:
+                return None
+            start, _, ty = heap[i]
+            k, off = divmod(addr - start, self.sizeof(ty))
+            found = self._descend(ty, off, [("idx", k)])
+            space, key = "heap", i
+        elif addr >= GROUP_BASE:
+            starts, entries = self._group_index()
+            j = bisect_right(starts, addr) - 1
+            if j < 0 or addr >= starts[j] + entries[j][0]:
+                return None
+            _, base, path, flat = entries[j]
+            gty = self.globals[base].type
+            steps: list[Step] = []
+            if isinstance(gty, T.ArrayType):
+                steps = [("idx", c) for c in _unflatten(flat, gty.dims)]
+            steps += [("field", p) for p in path]
+            member = self._member_type(base, path)
+            found = self._descend(member, addr - starts[j], steps)
+            space, key = "global", base
+        else:
+            starts, infos = self._global_index()
+            j = bisect_right(starts, addr) - 1
+            if j < 0 or addr >= starts[j] + self._extent(infos[j]):
+                return None
+            g = infos[j]
+            ty, off, steps = g.type, addr - g.base, []
+            if g.elem_stride is not None and isinstance(ty, T.ArrayType):
+                flat, off = divmod(off, g.elem_stride)
+                steps = [("idx", c) for c in _unflatten(flat, ty.dims)]
+                ty = ty.elem
+            found = self._descend(ty, off, steps)
+            space, key = "global", g.name
+        if found is None:
+            return None
+        loc = (space, key, tuple(found[0]), found[1])
+        return loc if self.address(loc, heap) == addr else None
+
+    def address(self, loc: Location, heap: Sequence[HeapObject] = ()) -> int:
+        """The address of logical coordinates ``loc`` in this layout,
+        with ``heap`` this layout's allocations (see :meth:`locate`)."""
+        space, key, steps, residual = loc
+        if space == "sync":
+            return int(key)  # type: ignore[arg-type]
+        if space == "global":
+            addr, _ = self.materialize(str(key), list(steps))
+            return addr + residual
+        start, _, ty = heap[key]  # type: ignore[index]
+        start += int(steps[0][1]) * self.sizeof(ty)  # type: ignore[arg-type]
+        addr, _ = self._apply_steps(start, ty, list(steps[1:]))
+        return addr + residual
+
+    def _descend(
+        self, ty: T.CType, off: int, steps: list[Step]
+    ) -> Optional[tuple[list[Step], int]]:
+        """Extend ``steps`` from an object of type ``ty`` down to the
+        scalar holding byte ``off``; (steps, residual byte) or None when
+        ``off`` falls in padding."""
+        while True:
+            if isinstance(ty, T.ArrayType):
+                inner = T.ArrayType(ty.elem, ty.dims[1:]) if len(ty.dims) > 1 else ty.elem
+                i, off = divmod(off, self.sizeof(inner))
+                if i >= ty.dims[0]:
+                    return None
+                steps.append(("idx", i))
+                ty = inner
+            elif isinstance(ty, T.StructType):
+                for fld in self.structs[ty.name].fields:
+                    if fld.offset <= off < fld.offset + self.sizeof(fld.type):
+                        break
+                else:
+                    return None
+                steps.append(("field", fld.name))
+                off -= fld.offset
+                ty = fld.type
+            else:
+                return (steps, off) if off < ty.size else None
+
+    def _global_index(self) -> tuple[list[int], list[GlobalInfo]]:
+        got = self._locate_globals
+        if got is None:
+            infos = sorted(self.globals.values(), key=lambda g: g.base)
+            got = self._locate_globals = ([g.base for g in infos], infos)
+        return got
+
+    def _group_index(self) -> tuple[list[int], list[tuple]]:
+        got = self._locate_group
+        if got is None:
+            rows = sorted(
+                (addr, self._member_elem_size(base, path), base, path, flat)
+                for (base, path), amap in self._group_addr.items()
+                for flat, addr in amap.items()
+            )
+            got = self._locate_group = (
+                [r[0] for r in rows],
+                [r[1:] for r in rows],
+            )
+        return got
 
 
 def _ndims(ty: T.CType) -> int:

@@ -80,6 +80,8 @@ _PERF_KEYS = (
     "events_cache.miss",
     "interp.runs",
     "interp.seconds",
+    "interp.translated",
+    "interp.translate_fallback",
     "sim.fast",
     "sim.reference",
     "sim.native.runs",

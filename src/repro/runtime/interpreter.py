@@ -30,6 +30,7 @@ source-to-source compiler emits (see DESIGN.md).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -129,9 +130,8 @@ class Interpreter:
             )
         else:
             self.sched = Scheduler(quantum=quantum, max_steps=max_steps)
-        #: trace indices of barrier releases (phase boundaries); both
-        #: TraceBuffer and ChunkSink expose __len__, so the mark is the
-        #: number of references emitted before the release.
+        #: trace indices of barrier releases (phase boundaries): the
+        #: number of references emitted before each release.
         self.phase_marks: list[int] = []
         self.sched.on_barrier_release = lambda: self.phase_marks.append(
             len(self.trace)
@@ -562,11 +562,8 @@ class Interpreter:
 
     def _alloc_obj(self, e: A.Alloc, count: int) -> int:
         assert e.elem_type is not None
-        size = self.layout.sizeof(e.elem_type) * max(count, 1)
-        align = max(self.layout.alignof(e.elem_type), 8)
-        self.heap_cursor = (self.heap_cursor + align - 1) // align * align
-        addr = self.heap_cursor
-        self.heap_cursor += size
+        addr, size = self.layout.heap_place(self.heap_cursor, e.elem_type, count)
+        self.heap_cursor = addr + size
         self.heap_segments.append((addr, size, f"heap:{e.type_name}"))
         return addr
 
@@ -900,15 +897,42 @@ def run_program(
 
     ``sched`` selects the execution model (round-robin or randomized
     work stealing — see :mod:`repro.runtime.stealing`); None resolves
-    the ``REPRO_SCHED`` family of environment knobs."""
-    from repro.obs import spans as obs
+    the ``REPRO_SCHED`` family of environment knobs.
 
+    The first interpreted run of an indirection-free layout is kept on
+    ``checked``; a later indirection-free layout at the same (nprocs,
+    quantum, max_steps, schedule) is translated from it instead of
+    interpreted (:mod:`repro.runtime.translate`).  ``interp.runs`` and
+    ``interp.seconds`` count interpretations, ``interp.translated`` and
+    ``interp.translate_fallback`` the two translation outcomes."""
+    from repro import perf
+    from repro.obs import spans as obs
+    from repro.runtime.translate import Source, Untranslatable, translate_run
+
+    sched = sched if sched is not None else resolve_sched()
+    key = (nprocs, quantum, max_steps, sched.describe())
+    source = None if layout.indirected else checked.run_memo.get(key)
+    if source is not None:
+        with obs.span("interp.translate", nprocs=nprocs):
+            try:
+                result = translate_run(source, layout)
+            except Untranslatable as exc:
+                perf.add("interp.translate_fallback")
+                perf.add(f"interp.translate_fallback.{exc.reason}")
+            else:
+                perf.add("interp.translated")
+                return result
     interp = Interpreter(
         checked, layout, nprocs,
         quantum=quantum, max_steps=max_steps, sched=sched,
     )
+    t0 = time.perf_counter()
     with obs.span("interp.run", nprocs=nprocs) as sp:
         result = interp.run()
         if sp is not None:
             sp.meta["trace_len"] = len(result.trace)
+    perf.add("interp.seconds", time.perf_counter() - t0)
+    perf.add("interp.runs")
+    if not layout.indirected and key not in checked.run_memo:
+        checked.run_memo[key] = Source(layout, result)
     return result

@@ -9,6 +9,16 @@ import pytest
 from repro.lang import compile_source
 
 
+def interpret(checked, layout, nprocs: int, **kw):
+    """Interpret ``layout`` directly.  ``run_program`` translates an
+    indirection-free layout from the program's first interpreted run, so
+    a check that values or the interleaving do not depend on the layout
+    must interpret both sides."""
+    from repro.runtime import Interpreter
+
+    return Interpreter(checked, layout, nprocs, **kw).run()
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

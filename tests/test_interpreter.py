@@ -7,7 +7,7 @@ from repro.lang import compile_source
 from repro.layout import DataLayout
 from repro.runtime import run_program
 
-from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC
+from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC, interpret
 
 
 def run(src: str, nprocs: int = 4):
@@ -176,7 +176,7 @@ class TestParallelism:
     def test_deterministic_trace(self):
         checked = compile_source(COUNTER_SRC)
         r1 = run_program(checked, DataLayout(checked, nprocs=4), 4)
-        r2 = run_program(checked, DataLayout(checked, nprocs=4), 4)
+        r2 = interpret(checked, DataLayout(checked, nprocs=4), 4)
         assert list(r1.trace.addr) == list(r2.trace.addr)
         assert list(r1.trace.proc) == list(r2.trace.proc)
 
@@ -189,7 +189,7 @@ class TestParallelism:
         base = run_program(
             counter_checked, DataLayout(counter_checked, nprocs=4), 4
         )
-        opt = run_program(
+        opt = interpret(
             counter_checked, DataLayout(counter_checked, plan, nprocs=4), 4
         )
         assert base.output == opt.output

@@ -19,6 +19,8 @@ from repro.sim import CacheConfig
 from repro.sim.simcache import cached_simulate, clear
 from repro.workloads.registry import SIMULATION_WORKLOADS, by_name
 
+from conftest import interpret
+
 
 # ---------------------------------------------------------------------------
 # perf counters
@@ -290,9 +292,9 @@ def test_interpreter_fast_path_bit_identical(wl, monkeypatch):
     checked = compile_source(wl.source)
     layout = DataLayout(checked, None, block_size=128, nprocs=4)
     monkeypatch.setenv("REPRO_INTERP_FAST", "0")
-    slow = run_program(checked, layout, 4)
+    slow = interpret(checked, layout, 4)
     monkeypatch.setenv("REPRO_INTERP_FAST", "1")
-    fast = run_program(checked, layout, 4)
+    fast = interpret(checked, layout, 4)
     assert np.array_equal(slow.trace.proc, fast.trace.proc)
     assert np.array_equal(slow.trace.addr, fast.trace.addr)
     assert np.array_equal(slow.trace.size, fast.trace.size)

@@ -4,7 +4,7 @@ trace → simulation, on the fixture programs."""
 from repro.harness import Pipeline
 from repro.sim import top_fs_structures
 
-from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC
+from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC, interpret
 
 
 class TestPipeline:
@@ -19,7 +19,7 @@ class TestPipeline:
         vn = pipe.run_unoptimized(4)
         vc = pipe.run_compiler(4)
         assert vn.version == "N" and vc.version == "C"
-        assert vn.run.output == vc.run.output
+        assert vn.run.output == interpret(pipe.checked, vc.layout, 4).output
 
     def test_counter_fs_eliminated(self):
         pipe = Pipeline(COUNTER_SRC)

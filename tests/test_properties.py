@@ -13,6 +13,8 @@ from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, simulate_trace
 from repro.transform import decide_transformations
 
+from conftest import interpret
+
 # ---------------------------------------------------------------------------
 # Generated expression round-trips
 # ---------------------------------------------------------------------------
@@ -68,7 +70,7 @@ class TestFrontendProperties:
 
         try:
             r1 = run_program(checked, DataLayout(checked, nprocs=1), 1)
-            r2 = run_program(checked, DataLayout(checked, nprocs=1), 1)
+            r2 = interpret(checked, DataLayout(checked, nprocs=1), 1)
         except RuntimeFault:
             return  # division by zero in a generated expression
         assert r1.output == r2.output
@@ -184,7 +186,7 @@ class TestSemanticPreservation:
         base = run_program(
             checked, DataLayout(checked, nprocs=nprocs, block_size=block), nprocs
         )
-        opt = run_program(
+        opt = interpret(
             checked,
             DataLayout(checked, plan, nprocs=nprocs, block_size=block),
             nprocs,

@@ -8,7 +8,7 @@ from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, simulate_run, simulate_trace
 from repro.transform import profile_guided_plan
 
-from conftest import COUNTER_SRC, HEAP_SRC
+from conftest import COUNTER_SRC, HEAP_SRC, interpret
 
 
 def _trace(events):
@@ -87,7 +87,7 @@ class TestProfileGuided:
         vn = pipe.run_unoptimized(8)
         plan = profile_guided_plan(vn.run, vn.layout, block_size=128)
         vt = pipe.run_with_plan(8, plan, "TLH94")
-        assert vt.run.output == vn.run.output
+        assert interpret(pipe.checked, vt.layout, 8).output == vn.run.output
         sn = vn.simulate(128)
         st = vt.simulate(128)
         assert st.misses.false_sharing < sn.misses.false_sharing
@@ -99,7 +99,7 @@ class TestProfileGuided:
         vn = pipe.run_unoptimized(6)
         plan = profile_guided_plan(vn.run, vn.layout, block_size=128)
         vt = pipe.run_with_plan(6, plan, "TLH94")
-        assert vt.run.output == vn.run.output
+        assert interpret(pipe.checked, vt.layout, 6).output == vn.run.output
 
     def test_restricted_to_keeps_record_pads_with_pad_kind(self):
         from repro.transform import TransformPlan

@@ -10,7 +10,7 @@ from repro.layout import DataLayout
 from repro.runtime import run_program
 from repro.transform import decide_transformations
 
-from conftest import HEAP_SRC
+from conftest import HEAP_SRC, interpret
 
 
 def run(src, nprocs=4, plan=None, **kw):
@@ -151,7 +151,7 @@ class TestLayoutEdge:
             addr, ty = layout.materialize("b", [("idx", i)])
             assert addr % 8 == 0, f"b[{i}] misaligned at {addr:#x}"
         base = run_program(checked, DataLayout(checked, nprocs=5), 5)
-        opt = run_program(checked, layout, 5)
+        opt = interpret(checked, layout, 5)
         assert base.output == opt.output
 
     def test_heap_segments_recorded(self):

@@ -29,7 +29,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import COUNTER_SRC, HEAP_SRC
+from conftest import COUNTER_SRC, HEAP_SRC, interpret as interpret_layout
 from repro.harness.experiments import rws
 from repro.harness.pipeline import Pipeline
 from repro.lang import compile_source
@@ -180,11 +180,10 @@ def test_steal_proc_column_is_layout_invariant():
     cfg = SchedConfig("steal", seed=13)
     natural = Pipeline(COUNTER_SRC, sched=cfg)
     nat = natural.execute(NPROCS, None, "N")
-    padded = natural.execute(
-        NPROCS, natural.compiler_plan(NPROCS), "C"
-    )
-    assert not np.array_equal(nat.run.trace.addr, padded.run.trace.addr)
-    assert np.array_equal(nat.run.trace.proc, padded.run.trace.proc)
+    layout = DataLayout(natural.checked, natural.compiler_plan(NPROCS), nprocs=NPROCS)
+    padded = interpret_layout(natural.checked, layout, NPROCS, sched=cfg)
+    assert not np.array_equal(nat.run.trace.addr, padded.trace.addr)
+    assert np.array_equal(nat.run.trace.proc, padded.trace.proc)
 
 
 # -- trace-cache key regression ----------------------------------------------

@@ -15,6 +15,8 @@ from repro.workloads import (
     table1_rows,
 )
 
+from conftest import interpret
+
 NPROCS = 6
 
 _KIND_ATTR = {
@@ -71,10 +73,12 @@ class TestEachWorkload:
 
     def test_outputs_invariant_across_versions(self, wl, pipes):
         pipe = pipes[wl.name]
-        outs = [pipe.run_unoptimized(NPROCS).run.output,
-                pipe.run_compiler(NPROCS).run.output]
+        versions = [pipe.run_compiler(NPROCS)]
         if wl.programmer_plan is not None:
-            outs.append(wl.run_version(pipe, "P", NPROCS).run.output)
+            versions.append(wl.run_version(pipe, "P", NPROCS))
+        outs = [pipe.run_unoptimized(NPROCS).run.output] + [
+            interpret(pipe.checked, vr.layout, NPROCS).output for vr in versions
+        ]
         assert all(o == outs[0] for o in outs)
         assert outs[0], f"{wl.name} produced no output"
 
