@@ -12,8 +12,11 @@ ring latency.
 Run:  python examples/custom_machine.py
 """
 
-from repro import KSR2Config, time_run
+from dataclasses import replace
+
+from repro import time_run
 from repro.harness import Pipeline
+from repro.machine import get_machine
 from repro.workloads import WATER
 
 NPROCS = 8
@@ -37,9 +40,12 @@ def main() -> None:
     print("\n== interconnect-latency sweep (KSR2 timing model)")
     print(f"{'latency':>8} {'T(N) Mcycles':>13} {'T(C) Mcycles':>13} {'gain':>6}")
     for lat in (90.0, 175.0, 350.0, 700.0):
-        cfg = KSR2Config(cpi=WATER.cpi, local_latency=lat, remote_latency=4 * lat)
-        tn = time_run(base.run, cfg)
-        tc = time_run(opt.run, cfg)
+        ksr2 = replace(
+            get_machine("ksr2"),
+            cpi=WATER.cpi, local_latency=lat, remote_latency=4 * lat,
+        )
+        tn = time_run(base.run, ksr2)
+        tc = time_run(opt.run, ksr2)
         gain = 1.0 - tc.cycles / tn.cycles
         print(
             f"{lat:>7.0f}c {tn.cycles / 1e6:>12.2f} {tc.cycles / 1e6:>12.2f} "

@@ -36,7 +36,7 @@ from repro.errors import (
 from repro.harness import Pipeline, WorkloadLab
 from repro.lang import CheckedProgram, compile_source, parse, to_source
 from repro.layout import DataLayout
-from repro.machine import KSR2Config, build_curve, time_run
+from repro.machine import build_curve, time_run
 from repro.runtime import RunResult, Trace, run_program
 from repro.sim import CacheConfig, SimResult, simulate_run, simulate_trace
 from repro.transform import (
@@ -66,7 +66,6 @@ __all__ = [
     "parse",
     "to_source",
     "DataLayout",
-    "KSR2Config",
     "build_curve",
     "time_run",
     "RunResult",

@@ -760,9 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
 
         p.add_argument(
             "--machine", choices=sorted(MACHINES), default=None,
-            help="machine geometry to simulate (protocol, line size, "
-            "cache shape; default ksr2); also $REPRO_MACHINE — see "
-            "docs/MACHINES.md",
+            help="machine to simulate and time (protocol, line size, "
+            "cache shape, latencies; default ksr2); also "
+            "$REPRO_MACHINE — see docs/MACHINES.md",
         )
 
     def sched_opts(p):

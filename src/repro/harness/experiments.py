@@ -18,14 +18,14 @@ Every driver returns plain dataclasses; the rendering lives in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.harness import parallel
 from repro.harness.parallel import Point, resolve_plan
 from repro.obs import spans as obs
 from repro.harness.pipeline import Pipeline, VersionRun
-from repro.machine import KSR2Config, SpeedupCurve, build_curve
+from repro.machine import SpeedupCurve, build_curve, resolve_machine
 from repro.runtime.stealing import RR, SchedConfig, fs_bound
 from repro.transform import ALL_KINDS, TransformPlan
 from repro.workloads.base import Workload
@@ -360,20 +360,21 @@ def scalability(
     wl: Workload,
     proc_counts: Sequence[int] = DEFAULT_SWEEP,
     lab: Optional[WorkloadLab] = None,
-    cfg: Optional[KSR2Config] = None,
+    machine=None,
 ) -> ScalabilityResult:
     """Speedup curves for every available version of one workload,
     normalized to the uniprocessor run of the natural (unoptimized)
-    layout — the paper's normalization."""
+    layout — the paper's normalization.  Timed on ``machine`` (None:
+    the active machine) calibrated with the workload's ``cpi``."""
     lab = lab or WorkloadLab()
-    cfg = cfg or KSR2Config(cpi=wl.cpi)
+    model = replace(resolve_machine(machine), cpi=wl.cpi)
     lab.prefetch(sweep_points([wl], proc_counts))
     result = ScalabilityResult(program=wl.name)
     base_curve, base = build_curve(
         "N",
         lambda P: lab.run(wl, "N", P).run,
         proc_counts,
-        cfg=cfg,
+        machine=model,
     )
     result.baseline_cycles = base
     if "N" in wl.versions:
@@ -386,7 +387,7 @@ def scalability(
             lambda P: lab.run(wl, version, P).run,
             proc_counts,
             baseline_cycles=base,
-            cfg=cfg,
+            machine=model,
         )
         result.curves[version] = curve
     return result

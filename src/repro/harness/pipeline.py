@@ -28,7 +28,7 @@ from repro.analysis import ProgramAnalysis, analyze_program
 from repro.lang import CheckedProgram, compile_source
 from repro.layout import DataLayout
 from repro.layout.regions import RegionMap, build_region_map
-from repro.machine import KSR2Config, TimingResult, time_run
+from repro.machine import TimingResult, time_run
 from repro.runtime import RunResult, SchedConfig, resolve_sched, run_program
 from repro.runtime import trace_cache
 from repro.sim import SimResult, simulate_run
@@ -64,8 +64,8 @@ class VersionRun:
             )
         return self._region_map
 
-    def timing(self, cfg: KSR2Config | None = None) -> TimingResult:
-        return time_run(self.run, cfg)
+    def timing(self, machine=None) -> TimingResult:
+        return time_run(self.run, machine)
 
 
 class Pipeline:

@@ -1,4 +1,4 @@
-"""KSR2 execution-time model.
+"""Execution-time model (the KSR2's, parameterized by the machine).
 
 The paper's run-time experiments use a 56-processor Kendall Square
 Research KSR2: 512 KB first-level cache per processor (split I/D), a
@@ -19,53 +19,30 @@ Execution time is solved as a fixed point::
     T = T_serial + max_p (compute_p + misses_p * L_eff(T))
     L_eff(T) = L_base(P) / (1 - U(T)),   U(T) = transactions * occupancy / T
 
-with ``L_base`` mixing the local-ring and cross-ring latencies for
-P > 32 and the queueing factor capped (a saturated ring serializes but
-does not diverge).
+with ``L_base`` the machine's tier mix (``MachineModel.miss_latency``)
+and the queueing factor capped (a saturated ring serializes but does
+not diverge).  Every parameter comes from one ``MachineModel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.machine.models import MachineModel, resolve_machine
 from repro.runtime.trace import RunResult
-from repro.sim.cache import CacheConfig
 from repro.sim.coherence import SimResult
 from repro.sim.simcache import cached_simulate
 
-
-@dataclass(frozen=True, slots=True)
-class KSR2Config:
-    """Machine parameters (defaults follow the paper's section 4)."""
-
-    #: cycles per interpreted operation in the parallel kernel (the
-    #: workloads' compute-intensity calibration; see Workload.cpi)
-    cpi: float = 1.0
-    #: cycles per interpreted operation in main's serial init/fini
-    #: sections (streaming initialization, not the calibrated kernel)
-    serial_cpi: float = 1.0
-    #: first-level data cache per processor
-    cache_size: int = 256 * 1024
-    assoc: int = 4
-    #: coherence unit of the ALLCACHE second level
-    block_size: int = 128
-    local_latency: float = 175.0
-    remote_latency: float = 600.0
-    ring_size: int = 32
-    #: cold/replacement fills come from the processor's local ALLCACHE
-    #: portion (first touch allocates locally) — far cheaper than a
-    #: coherence transaction that must cross the ring
-    fill_latency: float = 50.0
-    #: ring occupancy (cycles) per coherence transaction
-    occupancy: float = 7.0
-    #: queueing inflation cap — a saturated ring serializes
-    max_queue_factor: float = 40.0
-    fixed_point_iters: int = 60
+#: cycles per interpreted operation in main's serial init/fini sections
+#: (streaming initialization, not the calibrated kernel)
+SERIAL_CPI = 1.0
+#: iteration cap of the damped fixed point
+FIXED_POINT_ITERS = 60
 
 
 @dataclass(slots=True)
 class TimingResult:
-    """Modelled execution of one run on the KSR2."""
+    """Modelled execution of one run on one machine."""
 
     nprocs: int
     cycles: float
@@ -73,42 +50,34 @@ class TimingResult:
     parallel_cycles: float
     utilization: float
     effective_latency: float
-    base_latency: float
+    miss_latency: float
     transactions: int
     misses_per_proc: dict[int, int]
 
 
-def base_latency(nprocs: int, cfg: KSR2Config) -> float:
-    """Latency mix: processors beyond ring:0 service a growing share of
-    misses across rings."""
-    if nprocs <= cfg.ring_size:
-        return cfg.local_latency
-    remote_frac = (nprocs - cfg.ring_size) / nprocs
-    return cfg.local_latency * (1 - remote_frac) + cfg.remote_latency * remote_frac
-
-
 def execution_time(
-    run: RunResult, sim: SimResult, cfg: KSR2Config | None = None
+    run: RunResult, sim: SimResult, machine=None
 ) -> TimingResult:
-    """Model the wall-clock cycles of a run from its trace simulation."""
-    cfg = cfg or KSR2Config()
+    """Model the wall-clock cycles of a run from its trace simulation
+    on ``machine`` (a model, a name, or None for the active machine)."""
+    model = resolve_machine(machine)
     nprocs = run.nprocs
-    lat0 = base_latency(nprocs, cfg)
+    lat0 = model.miss_latency(nprocs)
 
-    serial = run.work.get(-1, 0) * cfg.serial_cpi
+    serial = run.work.get(-1, 0) * SERIAL_CPI
     main_misses = sim.per_proc.get(-1)
     if main_misses is not None:
         serial += (
             main_misses.cold + main_misses.replace
-        ) * cfg.fill_latency + (
+        ) * model.fill_latency + (
             main_misses.true_sharing + main_misses.false_sharing
         ) * lat0
 
     worker_compute = {
-        pid: w * cfg.cpi for pid, w in run.work.items() if pid >= 0
+        pid: w * model.cpi for pid, w in run.work.items() if pid >= 0
     }
     fill_cycles = {
-        pid: (c.cold + c.replace) * cfg.fill_latency
+        pid: (c.cold + c.replace) * model.fill_latency
         for pid, c in sim.per_proc.items()
         if pid >= 0
     }
@@ -137,10 +106,10 @@ def execution_time(
     par = par_time(lat0)
     util = 0.0
     lat_eff = lat0
-    for _ in range(cfg.fixed_point_iters):
+    for _ in range(FIXED_POINT_ITERS):
         total = max(par, 1.0)
-        util = min(transactions * cfg.occupancy / total, 0.999)
-        q = min(1.0 / (1.0 - util), cfg.max_queue_factor)
+        util = min(transactions * model.occupancy / total, 0.999)
+        q = min(1.0 / (1.0 - util), model.max_queue_factor)
         lat_eff = lat0 * q
         new_par = par_time(lat_eff)
         if abs(new_par - par) <= 1e-6 * max(par, 1.0):
@@ -156,7 +125,7 @@ def execution_time(
         parallel_cycles=par,
         utilization=util,
         effective_latency=lat_eff,
-        base_latency=lat0,
+        miss_latency=lat0,
         transactions=transactions,
         misses_per_proc={
             pid: counts.total for pid, counts in sim.per_proc.items()
@@ -164,17 +133,20 @@ def execution_time(
     )
 
 
-def time_run(run: RunResult, cfg: KSR2Config | None = None) -> TimingResult:
-    """Simulate a run's trace at KSR2 cache geometry and model its time."""
-    cfg = cfg or KSR2Config()
-    config = CacheConfig(
-        size=cfg.cache_size, block_size=cfg.block_size, assoc=cfg.assoc
-    )
-    # Memoized per trace fingerprint: Figure 4, Table 3 and the
-    # section-5 improvement sweep time the same runs — each is
-    # simulated at the KSR2 geometry exactly once.
-    sim = cached_simulate(
-        run.trace, run.nprocs, config,
+def timing_sim(run: RunResult, model: MachineModel) -> SimResult:
+    """Simulate a run's trace at the machine's timing geometry.
+
+    Memoized per trace fingerprint: Figure 4, Table 3, the section-5
+    improvement sweep and the tuner's scoring time the same runs — each
+    is simulated at the timing geometry exactly once."""
+    return cached_simulate(
+        run.trace, run.nprocs, model.timing_config(),
         extra_refs=sum(run.private_refs.values()),
     )
-    return execution_time(run, sim, cfg)
+
+
+def time_run(run: RunResult, machine=None) -> TimingResult:
+    """Simulate a run's trace at the machine's timing geometry and
+    model its time."""
+    model = resolve_machine(machine)
+    return execution_time(run, timing_sim(run, model), model)

@@ -9,7 +9,7 @@ machine description is now a first-class :class:`MachineModel` value
 carried through the simulator (:class:`~repro.sim.cache.CacheConfig`
 grew a ``protocol`` field), the native-kernel pre-check (the C kernel
 is MSI-only; other protocols fall back to the Python core), the
-simulation memo keys, and run manifests.
+simulation memo keys, the timing model and the tuner, and manifests.
 
 Selection: ``--machine <name>`` on the CLI or the ``REPRO_MACHINE``
 environment variable; :func:`get_machine` resolves a name,
@@ -38,8 +38,9 @@ DEFAULT_MACHINE = "ksr2"
 
 @dataclass(frozen=True, slots=True)
 class MachineModel:
-    """One machine geometry: protocol, line size, cache shape, and the
-    per-tier miss latencies (cycles) of its memory system."""
+    """One machine: protocol, line size, cache shape, the per-tier miss
+    latencies (cycles) of its memory system, and the parameters of the
+    execution-time model (:mod:`repro.machine.ksr2`)."""
 
     name: str
     #: coherence protocol ("msi" | "mesi") — validated by CacheConfig
@@ -59,6 +60,17 @@ class MachineModel:
     far_fraction: float = 0.0
     #: processors per local tier before traffic starts going remote
     tier_size: int = 32
+    #: first-level cache per processor in the timing model
+    timing_cache_size: int = 256 * 1024
+    #: cold/replacement fill, serviced locally (first touch allocates)
+    fill_latency: float = 50.0
+    #: interconnect occupancy (cycles) per coherence transaction
+    occupancy: float = 7.0
+    #: queueing inflation cap — a saturated interconnect serializes
+    max_queue_factor: float = 40.0
+    #: cycles per interpreted operation in the parallel kernel (the
+    #: workloads' calibration; see Workload.cpi)
+    cpi: float = 1.0
     description: str = ""
 
     def cache_config(self, block_size: int | None = None) -> CacheConfig:
@@ -75,10 +87,21 @@ class MachineModel:
             protocol=self.protocol,
         )
 
+    def timing_config(self) -> CacheConfig:
+        """The :class:`CacheConfig` the timing model simulates: the
+        timing first level at the native line size and protocol."""
+        return CacheConfig(
+            size=self.timing_cache_size,
+            block_size=self.line_size,
+            assoc=self.assoc,
+            protocol=self.protocol,
+        )
+
     def miss_latency(self, nprocs: int) -> float:
         """Average miss-service latency at ``nprocs`` processors: the
-        tier mix generalizes :func:`repro.machine.ksr2.base_latency` to
-        three tiers (a far NUMA hop weighted by ``far_fraction``)."""
+        local tier up to ``tier_size`` processors, then a growing share
+        of misses serviced one tier out — itself blended with a far
+        NUMA hop weighted by ``far_fraction``."""
         if nprocs <= self.tier_size:
             return self.local_latency
         remote = self.remote_latency
@@ -99,14 +122,18 @@ class MachineModel:
             "line_size": self.line_size,
             "cache_size": self.cache_size,
             "assoc": self.assoc,
+            "timing_cache_size": self.timing_cache_size,
+            "cpi": self.cpi,
         }
 
 
 #: The registry.  ksr2 mirrors the original hard-coded defaults of
-#: ``simulate_run`` (32 KB / 4-way / 128 B / MSI) exactly, so selecting
-#: it — or selecting nothing — reproduces the paper's numbers bit for
-#: bit.  (The *timing* model's 256 KB first level lives separately in
-#: :class:`repro.machine.ksr2.KSR2Config`.)
+#: ``simulate_run`` (32 KB / 4-way / 128 B / MSI) and of the timing
+#: model (256 KB timing first level, section 4's latencies) exactly, so
+#: selecting it — or selecting nothing — reproduces the paper's numbers
+#: bit for bit.  The other machines take their timing L1 and fill
+#: latency from their own cache and local tier; occupancy and the
+#: queueing cap are KSR2 figures (docs/MACHINES.md).
 MACHINES: dict[str, MachineModel] = {
     m.name: m
     for m in (
@@ -119,6 +146,10 @@ MACHINES: dict[str, MachineModel] = {
             local_latency=175.0,
             remote_latency=600.0,
             tier_size=32,
+            timing_cache_size=256 * 1024,
+            fill_latency=50.0,
+            occupancy=7.0,
+            max_queue_factor=40.0,
             description=(
                 "the paper's Kendall Square Research KSR2: ALLCACHE "
                 "ring, 128 B coherence unit, write-invalidate MSI"
@@ -133,6 +164,10 @@ MACHINES: dict[str, MachineModel] = {
             local_latency=40.0,
             remote_latency=40.0,
             tier_size=64,
+            timing_cache_size=32 * 1024,
+            fill_latency=40.0,
+            occupancy=7.0,
+            max_queue_factor=40.0,
             description=(
                 "a modern single-socket multicore: 64 B lines, MESI, "
                 "8-way 32 KB L1, flat ~40-cycle miss service"
@@ -149,6 +184,10 @@ MACHINES: dict[str, MachineModel] = {
             far_latency=300.0,
             far_fraction=0.5,
             tier_size=8,
+            timing_cache_size=32 * 1024,
+            fill_latency=40.0,
+            occupancy=7.0,
+            max_queue_factor=40.0,
             description=(
                 "a two-socket NUMA machine: 64 B MESI lines, 8 cores "
                 "per socket, 120-cycle remote-socket and 300-cycle "

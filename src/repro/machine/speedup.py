@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.machine.ksr2 import KSR2Config, TimingResult, time_run
+from repro.machine.ksr2 import TimingResult, time_run
+from repro.machine.models import resolve_machine
 from repro.runtime.trace import RunResult
 
 #: The processor counts the experiments sweep (the KSR2 had 56).
@@ -47,7 +48,7 @@ def build_curve(
     proc_counts=DEFAULT_PROC_COUNTS,
     *,
     baseline_cycles: Optional[float] = None,
-    cfg: KSR2Config | None = None,
+    machine=None,
 ) -> tuple[SpeedupCurve, float]:
     """Time a version at each processor count.
 
@@ -55,14 +56,15 @@ def build_curve(
     ``baseline_cycles`` is None, the P=1 timing of *this* version is used
     as the base (callers pass the unoptimized version's uniprocessor
     cycles to normalize all versions to the same base, as the paper
-    does).  Returns the curve and the base cycles used.
+    does).  ``machine`` is timed at every count (None: the active
+    machine).  Returns the curve and the base cycles used.
     """
-    cfg = cfg or KSR2Config()
+    model = resolve_machine(machine)
     curve = SpeedupCurve(label=label)
     base = baseline_cycles
     for nprocs in proc_counts:
         run = run_at(nprocs)
-        timing = time_run(run, cfg)
+        timing = time_run(run, model)
         curve.timings[nprocs] = timing
         if base is None and nprocs == min(proc_counts):
             base = timing.cycles

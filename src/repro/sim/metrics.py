@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.layout.regions import RegionMap
 from repro.runtime.trace import RunResult
-from repro.sim.cache import CacheConfig
 from repro.sim.coherence import SimResult
 from repro.sim.simcache import cached_simulate
 
@@ -147,8 +146,6 @@ def simulate_run(
     run: RunResult,
     block_size: int,
     *,
-    cache_size: int | None = None,
-    assoc: int | None = None,
     machine=None,
     word_invalidate: bool = False,
     engine: str | None = None,
@@ -160,21 +157,14 @@ def simulate_run(
     :class:`~repro.machine.models.MachineModel` (``machine`` — a model,
     a registry name, or None to resolve ``REPRO_MACHINE``; the default
     ksr2 reproduces the original hard-coded 32 KB / 4-way / MSI
-    geometry exactly).  Explicit ``cache_size``/``assoc`` override the
-    machine's shape.
+    geometry exactly).
 
     Routed through the fast-path engine and the per-trace result memo
     (:mod:`repro.sim.simcache`); set ``engine="reference"`` to force
     the original one-reference-at-a-time simulator."""
     from repro.machine.models import resolve_machine
 
-    model = resolve_machine(machine)
-    config = CacheConfig(
-        size=cache_size if cache_size is not None else model.cache_size,
-        block_size=block_size,
-        assoc=assoc if assoc is not None else model.assoc,
-        protocol=model.protocol,
-    )
+    config = resolve_machine(machine).cache_config(block_size)
     extra = sum(run.private_refs.values())
     return cached_simulate(
         run.trace, run.nprocs, config, extra_refs=extra,
@@ -205,13 +195,9 @@ def sweep_block_sizes(
     run: RunResult,
     block_sizes: list[int],
     *,
-    cache_size: int | None = None,
-    assoc: int | None = None,
     machine=None,
 ) -> BlockSizeSweep:
     sweep = BlockSizeSweep(block_sizes=list(block_sizes))
     for bs in block_sizes:
-        sweep.results[bs] = simulate_run(
-            run, bs, cache_size=cache_size, assoc=assoc, machine=machine
-        )
+        sweep.results[bs] = simulate_run(run, bs, machine=machine)
     return sweep

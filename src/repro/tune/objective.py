@@ -1,8 +1,9 @@
 """Plan scoring: the objective the search minimizes.
 
 A plan's quality is not one number.  The paper's own evaluation reads
-out three instruments — false-sharing misses at the KSR2's 128-byte
-coherence unit, the total miss count, and modelled execution time — and
+out three instruments — false-sharing misses at the machine's coherence
+unit (the KSR2's 128 bytes by default), the total miss count, and
+modelled execution time — and
 every transformation buys its wins with memory (padding multiplies
 footprints; arenas and group regions add space).  A :class:`PlanScore`
 carries all four; a :class:`Objective` is an ordering over them
@@ -15,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.machine.ksr2 import KSR2Config, execution_time
-from repro.sim.cache import CacheConfig
-from repro.sim.simcache import cached_simulate
+from repro.machine.ksr2 import execution_time, timing_sim
+from repro.machine.models import resolve_machine
 
 #: Metric names, in the default significance order.
 METRICS = ("fs", "cycles", "total", "mem")
@@ -134,26 +133,19 @@ def score_version(
     vr,
     *,
     natural_bytes: int,
-    cfg: Optional[KSR2Config] = None,
+    machine=None,
 ) -> PlanScore:
     """Score one executed :class:`~repro.harness.pipeline.VersionRun`.
 
-    Misses come from one simulation at the KSR2 coherence geometry (the
-    128-byte second-level block by default) — memoized per trace
-    fingerprint, so re-scoring a cached run costs nothing — and cycles
-    from the queueing timing model over that same simulation.
+    Misses come from one simulation at the machine's timing geometry
+    (``machine``, None for the active one; the ksr2 default simulates
+    its 128-byte coherence unit) — memoized per trace fingerprint, so
+    re-scoring a cached run costs nothing — and cycles from the
+    queueing timing model over that same simulation.
     """
-    cfg = cfg or KSR2Config()
-    config = CacheConfig(
-        size=cfg.cache_size, block_size=cfg.block_size, assoc=cfg.assoc
-    )
-    sim = cached_simulate(
-        vr.run.trace,
-        vr.run.nprocs,
-        config,
-        extra_refs=sum(vr.run.private_refs.values()),
-    )
-    timing = execution_time(vr.run, sim, cfg)
+    model = resolve_machine(machine)
+    sim = timing_sim(vr.run, model)
+    timing = execution_time(vr.run, sim, model)
     mem = layout_bytes(vr.layout)
     return PlanScore(
         fs_misses=sim.misses.false_sharing,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro import perf
@@ -35,7 +35,7 @@ from repro.obs import spans as obs
 from repro.harness.parallel import map_tasks
 from repro.harness.pipeline import Pipeline
 from repro.layout.datalayout import DataLayout
-from repro.machine.ksr2 import KSR2Config
+from repro.machine.models import MachineModel, resolve_machine
 from repro.transform.plan import TransformPlan
 from repro.tune.objective import Objective, PlanScore, layout_bytes, score_version
 from repro.tune.search import Evaluation, Evaluator, SearchOutcome, run_search
@@ -64,6 +64,8 @@ class TuneReport:
     workload: str
     nprocs: int
     block_size: int
+    #: the machine every plan was scored on (calibrated ``cpi``)
+    machine: MachineModel
     strategy: str
     objective: Objective
     space: PlanSpace
@@ -104,7 +106,7 @@ def _eval_plan_task(
     nprocs: int,
     block_size: int,
     natural_bytes: int,
-    cpi: float,
+    machine: MachineModel,
 ) -> PlanScore:
     """Score one plan in a worker process (picklable entry point)."""
     key = (hash(source), block_size)
@@ -112,9 +114,7 @@ def _eval_plan_task(
     if pipe is None:
         pipe = _worker_pipes[key] = Pipeline(source, block_size=block_size)
     vr = pipe.execute(nprocs, plan, version="T")
-    return score_version(
-        vr, natural_bytes=natural_bytes, cfg=KSR2Config(cpi=cpi)
-    )
+    return score_version(vr, natural_bytes=natural_bytes, machine=machine)
 
 
 def _make_score_many(
@@ -123,7 +123,7 @@ def _make_score_many(
     nprocs: int,
     block_size: int,
     natural_bytes: int,
-    cpi: float,
+    machine: MachineModel,
     jobs: int,
 ):
     """Batch scorer: serial through the parent's pipeline (sharing its
@@ -136,7 +136,7 @@ def _make_score_many(
                 try:
                     out.append(
                         _eval_local(
-                            pipe, plan, nprocs, natural_bytes, cpi
+                            pipe, plan, nprocs, natural_bytes, machine
                         )
                     )
                 except Exception:
@@ -147,7 +147,7 @@ def _make_score_many(
         results = map_tasks(
             _eval_plan_task,
             [
-                (source, plan, nprocs, block_size, natural_bytes, cpi)
+                (source, plan, nprocs, block_size, natural_bytes, machine)
                 for plan in plans
             ],
             jobs=jobs,
@@ -163,12 +163,10 @@ def _eval_local(
     plan: TransformPlan,
     nprocs: int,
     natural_bytes: int,
-    cpi: float,
+    machine: MachineModel,
 ) -> PlanScore:
     vr = pipe.execute(nprocs, plan, version="T")
-    return score_version(
-        vr, natural_bytes=natural_bytes, cfg=KSR2Config(cpi=cpi)
-    )
+    return score_version(vr, natural_bytes=natural_bytes, machine=machine)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +187,14 @@ def tune_source(
     beam_width: int = 3,
     jobs: int = 1,
     cpi: float = 4.0,
+    machine=None,
     verify_front: bool = True,
 ) -> TuneReport:
-    """Tune one program's transform plan; see the module docstring."""
+    """Tune one program's transform plan; see the module docstring.
+    Plans are scored on ``machine`` (None: the active machine)
+    calibrated with ``cpi``."""
     objective = objective or Objective()
+    model = replace(resolve_machine(machine), cpi=cpi)
     t0 = time.perf_counter()
     with obs.span("tune", workload=label, strategy=strategy, nprocs=nprocs):
         pipe = Pipeline(source, block_size=block_size)
@@ -214,7 +216,7 @@ def tune_source(
         ev = Evaluator(
             space=space,
             score_many=_make_score_many(
-                pipe, source, nprocs, block_size, natural_bytes, cpi, jobs
+                pipe, source, nprocs, block_size, natural_bytes, model, jobs
             ),
             objective=objective,
             budget=budget,
@@ -269,6 +271,7 @@ def tune_source(
         workload=label,
         nprocs=nprocs,
         block_size=block_size,
+        machine=model,
         strategy=strategy,
         objective=objective,
         space=space,
@@ -296,6 +299,7 @@ def _record_manifest(report: TuneReport, source: str) -> None:
         plan_desc=report.best.plan.describe(),
         nprocs=report.nprocs,
         block_size=report.block_size,
+        machine=report.machine.to_dict(),
         misses={
             "false": report.best.score.fs_misses,
             "total": report.best.score.total_misses,
@@ -332,6 +336,8 @@ def _record_manifest(report: TuneReport, source: str) -> None:
 def render_tune_report(report: TuneReport, *, verbose: bool = False) -> str:
     """The per-workload heuristic-vs-tuned comparison table."""
     h, b = report.heuristic.score, report.best.score
+    cycles = f"{report.machine.name.upper()} cycles"
+    cw = max(14, len(cycles))
     lines = [
         f"tune {report.workload}: {report.nprocs} procs, "
         f"{report.block_size} B blocks, strategy={report.strategy}, "
@@ -349,11 +355,11 @@ def render_tune_report(report: TuneReport, *, verbose: bool = False) -> str:
         + (" [budget exhausted]" if report.outcome.budget_exhausted else ""),
         "",
         f"  {'plan':<12} {'FS misses':>10} {'misses':>10} "
-        f"{'KSR2 cycles':>14} {'mem overhead':>13}",
+        f"{cycles:>{cw}} {'mem overhead':>13}",
         f"  {'heuristic':<12} {h.fs_misses:>10d} {h.total_misses:>10d} "
-        f"{h.cycles:>14.0f} {h.mem_overhead:>12d}B",
+        f"{h.cycles:>{cw}.0f} {h.mem_overhead:>12d}B",
         f"  {'tuned best':<12} {b.fs_misses:>10d} {b.total_misses:>10d} "
-        f"{b.cycles:>14.0f} {b.mem_overhead:>12d}B",
+        f"{b.cycles:>{cw}.0f} {b.mem_overhead:>12d}B",
     ]
     if report.improved:
         dfs = h.fs_misses - b.fs_misses
@@ -396,6 +402,7 @@ def bench_point(report: TuneReport) -> dict:
         "workload": report.workload,
         "nprocs": report.nprocs,
         "block_size": report.block_size,
+        "machine": report.machine.name,
         "strategy": report.strategy,
         "objective": str(report.objective),
         "space_size": report.space.size,

@@ -58,11 +58,14 @@ class TestPipeline:
         assert fs[0] <= fs[1] <= fs[2]
 
     def test_timing_monotone_sanity(self):
-        from repro.machine import KSR2Config
+        from dataclasses import replace
 
+        from repro.machine import get_machine
+
+        ksr2 = replace(get_machine("ksr2"), cpi=4.0)
         pipe = Pipeline(COUNTER_SRC)
-        t1 = pipe.run_unoptimized(1).timing(KSR2Config(cpi=4.0))
-        t4 = pipe.run_unoptimized(4).timing(KSR2Config(cpi=4.0))
+        t1 = pipe.run_unoptimized(1).timing(ksr2)
+        t4 = pipe.run_unoptimized(4).timing(ksr2)
         # with 4x the total work spread over 4 procs plus coherence,
         # cycles at P=4 are below the serial time of the same total work
         assert t4.cycles < t1.cycles * 4
