@@ -323,7 +323,7 @@ def read_all(
     """Every parseable record in the log (corrupt lines are skipped).
 
     By default records are passed through :func:`upgrade_record`, so
-    callers always see the schema-2 shape regardless of when a line
+    callers always see the schema-3 shape regardless of when a line
     was written; pass ``upgrade=False`` for the raw on-disk dicts.
     """
     p = Path(path) if path is not None else log_path()

@@ -29,12 +29,11 @@ source-to-source compiler emits (see DESIGN.md).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.errors import RuntimeFault
+from repro.errors import RuntimeFault, SourceLocation
 from repro.lang import astnodes as A
 from repro.lang import ctypes as T
 from repro.lang.checker import CheckedProgram
@@ -53,10 +52,6 @@ PRIVATE_BASE = 0x1_0000_0000
 PRIVATE_STRIDE = 0x0100_0000
 
 _POINTER_SIZE = 8
-
-#: ``REPRO_INTERP_FAST=0`` forces every expression through the
-#: yield-driven evaluator (debugging/equivalence testing only).
-_FAST_ENV = "REPRO_INTERP_FAST"
 
 
 class _Return(Exception):
@@ -146,13 +141,6 @@ class Interpreter:
         self.heap_segments: list[tuple[int, int, str]] = []
         self._spawned = 0
         self._procs_by_pid: dict[int, Proc] = {}
-        #: id(expr) -> expression provably reaches no scheduling point
-        #: (see _yield_free); id() keys are safe because the AST is
-        #: pinned by ``checked`` for the interpreter's lifetime.
-        self._yf_cache: dict[int, bool] = {}
-        self._fast_enabled = os.environ.get(_FAST_ENV, "1").strip().lower() not in (
-            "0", "off", "no", "false",
-        )
 
     # ------------------------------------------------------------------
     # public API
@@ -224,12 +212,6 @@ class Interpreter:
         addr, ty = self._materialize(place)
         return self._load_raw(proc, addr, ty)
 
-    def _store_place(self, proc: Proc, place: Place, value) -> None:
-        addr, ty = self._materialize(place)
-        if isinstance(ty, T.IntType) and isinstance(value, float):  # pragma: no cover
-            value = int(value)
-        self._store_raw(proc, addr, ty, value)
-
     # ------------------------------------------------------------------
     # lvalue evaluation (generators: calls inside indices may synchronize)
     # ------------------------------------------------------------------
@@ -237,8 +219,6 @@ class Interpreter:
     def _eval_place(self, proc: Proc, frame: dict, e: A.Expr) -> Iterator:
         """Yield-driven evaluation of an lvalue to a Place (generator
         *returns* the Place)."""
-        if self._fast_ok(e):
-            return self._fast_eval_place(proc, frame, e)
         proc.work += 1
         if isinstance(e, A.Ident):
             sym = self.checked.symtab.ident_symbols.get(id(e))
@@ -279,19 +259,18 @@ class Interpreter:
                 )
             raise RuntimeFault(f"cannot index {bty}", e.loc)  # pragma: no cover
         if isinstance(e, A.Member):
+            base = yield from self._eval_place(proc, frame, e.base)
             if e.arrow:
-                base = yield from self._eval_place(proc, frame, e.base)
                 ptr = self._load_place(proc, base)
                 self._check_ptr(ptr, e)
                 bty = base.ty
                 assert isinstance(bty, T.PointerType)
                 struct = bty.target
                 assert isinstance(struct, T.StructType)
-                place: Place = RawPlace(int(ptr), struct)
-                return self._apply_field(proc, place, struct, e.name, e)
-            base = yield from self._eval_place(proc, frame, e.base)
-            struct = base.ty
-            assert isinstance(struct, T.StructType)
+                base = RawPlace(int(ptr), struct)
+            else:
+                struct = base.ty
+                assert isinstance(struct, T.StructType)
             return self._apply_field(proc, base, struct, e.name, e)
         if isinstance(e, A.UnOp) and e.op == "*":
             base = yield from self._eval_place(proc, frame, e.operand)
@@ -359,172 +338,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     # expression evaluation
     # ------------------------------------------------------------------
-    #
-    # Two evaluators share every helper and must stay behaviourally
-    # identical:
-    #
-    # * ``_eval``/``_eval_place`` — generators, so a call inside a
-    #   subexpression can reach a scheduling point (barrier, lock,
-    #   user function);
-    # * ``_fast_eval``/``_fast_eval_place`` — plain recursion for the
-    #   (overwhelmingly common) expressions ``_yield_free`` proves can
-    #   never yield.  Generator frames dominate interpretation cost, so
-    #   the hot loops of every kernel run on this path.
-    #
-    # Both increment ``proc.work`` once per visited node and issue
-    # ``_ref`` traffic through the same helpers in the same order, so
-    # the emitted trace and all counters are bit-identical either way
-    # (asserted by tests/test_interpreter_fastpath.py).
-
-    def _yield_free(self, e: A.Expr) -> bool:
-        """True when evaluating ``e`` can never reach a yield: every
-        call in the tree is a pure builtin or ``nprocs()``."""
-        got = self._yf_cache.get(id(e))
-        if got is None:
-            got = self._yf_cache[id(e)] = self._compute_yield_free(e)
-        return got
-
-    def _compute_yield_free(self, e: A.Expr) -> bool:
-        if isinstance(e, (A.IntLit, A.FloatLit, A.Ident)):
-            return True
-        if isinstance(e, A.Index):
-            return self._yield_free(e.base) and self._yield_free(e.index)
-        if isinstance(e, A.Member):
-            return self._yield_free(e.base)
-        if isinstance(e, A.UnOp):
-            return self._yield_free(e.operand)
-        if isinstance(e, A.BinOp):
-            return self._yield_free(e.left) and self._yield_free(e.right)
-        if isinstance(e, A.Call):
-            if e.name not in PURE_IMPLS and e.name != "nprocs":
-                return False
-            return all(self._yield_free(a) for a in e.args)
-        if isinstance(e, A.Alloc):
-            return e.count is None or self._yield_free(e.count)
-        return False
-
-    def _fast_ok(self, e: A.Expr) -> bool:
-        return self._fast_enabled and self._yield_free(e)
-
-    def _fast_eval(self, proc: Proc, frame: dict, e: A.Expr):
-        """Non-generator mirror of ``_eval`` for yield-free trees."""
-        proc.work += 1
-        if isinstance(e, A.IntLit):
-            return e.value
-        if isinstance(e, A.FloatLit):
-            return e.value
-        if isinstance(e, (A.Ident, A.Index, A.Member)):
-            place = self._fast_eval_place(proc, frame, e)
-            return self._load_place(proc, place)
-        if isinstance(e, A.BinOp):
-            op = e.op
-            if op == "&&":
-                if not self._fast_eval(proc, frame, e.left):
-                    return 0
-                return 1 if self._fast_eval(proc, frame, e.right) else 0
-            if op == "||":
-                if self._fast_eval(proc, frame, e.left):
-                    return 1
-                return 1 if self._fast_eval(proc, frame, e.right) else 0
-            a = self._fast_eval(proc, frame, e.left)
-            b = self._fast_eval(proc, frame, e.right)
-            return self._binop_value(e, a, b)
-        if isinstance(e, A.UnOp):
-            if e.op == "-":
-                return -self._fast_eval(proc, frame, e.operand)
-            if e.op == "!":
-                return 0 if self._fast_eval(proc, frame, e.operand) else 1
-            if e.op == "*":
-                place = self._fast_eval_place(proc, frame, e)
-                return self._load_place(proc, place)
-            if e.op == "&":
-                place = self._fast_eval_place(proc, frame, e.operand)
-                addr, _ = self._materialize(place)
-                return addr
-        if isinstance(e, A.Call):
-            impl = PURE_IMPLS.get(e.name)
-            if impl is not None:
-                return impl(
-                    *[self._fast_eval(proc, frame, a) for a in e.args]
-                )
-            return self.nprocs  # _yield_free admits only nprocs() here
-        if isinstance(e, A.Alloc):
-            count = 1
-            if e.count is not None:
-                count = int(self._fast_eval(proc, frame, e.count))
-                if count < 0:
-                    raise RuntimeFault("negative alloc_array count", e.loc)
-            return self._alloc_obj(e, count)
-        raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.loc)  # pragma: no cover
-
-    def _fast_eval_place(self, proc: Proc, frame: dict, e: A.Expr) -> Place:
-        """Non-generator mirror of ``_eval_place``."""
-        proc.work += 1
-        if isinstance(e, A.Ident):
-            sym = self.checked.symtab.ident_symbols.get(id(e))
-            if sym is not None and sym.is_shared:
-                return StaticPlace(e.name, [], sym.type)
-            cell = frame.get(e.name)
-            if cell is None:
-                raise RuntimeFault(f"unbound local {e.name!r}", e.loc)
-            return RawPlace(cell[0], cell[1])
-        if isinstance(e, A.Index):
-            base = self._fast_eval_place(proc, frame, e.base)
-            idx = int(self._fast_eval(proc, frame, e.index))
-            bty = base.ty
-            if isinstance(bty, T.ArrayType):
-                if not (0 <= idx < bty.dims[0]):
-                    raise RuntimeFault(
-                        f"index {idx} out of bounds [0, {bty.dims[0]}) ", e.loc
-                    )
-                inner = (
-                    T.ArrayType(bty.elem, bty.dims[1:])
-                    if len(bty.dims) > 1
-                    else bty.elem
-                )
-                if isinstance(base, StaticPlace):
-                    return StaticPlace(
-                        base.base, base.steps + [("idx", idx)], inner
-                    )
-                return RawPlace(
-                    base.addr + idx * self.layout.sizeof(inner), inner
-                )
-            if isinstance(bty, T.PointerType):
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                target = bty.target
-                return RawPlace(
-                    int(ptr) + idx * self.layout.sizeof(target), target
-                )
-            raise RuntimeFault(f"cannot index {bty}", e.loc)  # pragma: no cover
-        if isinstance(e, A.Member):
-            base = self._fast_eval_place(proc, frame, e.base)
-            if e.arrow:
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                bty = base.ty
-                assert isinstance(bty, T.PointerType)
-                struct = bty.target
-                assert isinstance(struct, T.StructType)
-                base = RawPlace(int(ptr), struct)
-            else:
-                struct = base.ty
-                assert isinstance(struct, T.StructType)
-            return self._apply_field(proc, base, struct, e.name, e)
-        if isinstance(e, A.UnOp) and e.op == "*":
-            base = self._fast_eval_place(proc, frame, e.operand)
-            ptr = self._load_place(proc, base)
-            self._check_ptr(ptr, e)
-            bty = base.ty
-            assert isinstance(bty, T.PointerType)
-            return RawPlace(int(ptr), bty.target)
-        raise RuntimeFault(
-            f"not an lvalue: {type(e).__name__}", e.loc
-        )  # pragma: no cover - checker rejects
-
     def _eval(self, proc: Proc, frame: dict, e: A.Expr) -> Iterator:
-        if self._fast_ok(e):
-            return self._fast_eval(proc, frame, e)
         proc.work += 1
         if isinstance(e, A.IntLit):
             return e.value
@@ -583,13 +397,13 @@ class Interpreter:
             return 1 if right else 0
         a = yield from self._eval(proc, frame, e.left)
         b = yield from self._eval(proc, frame, e.right)
-        return self._binop_value(e, a, b)
+        return self._binop_value(e.op, a, b, e.ty, e.loc)
 
     @staticmethod
-    def _binop_value(e: A.BinOp, a, b):
-        """Strict (non-short-circuit) binary arithmetic, shared by the
-        generator and fast evaluators."""
-        op = e.op
+    def _binop_value(op: str, a, b, ty: T.CType, loc: SourceLocation):
+        """Strict (non-short-circuit) binary arithmetic of a ``BinOp`` or
+        a compound assignment; ``ty`` is the result type (``/`` truncates
+        toward zero on ints)."""
         if op == "+":
             return a + b
         if op == "-":
@@ -598,14 +412,14 @@ class Interpreter:
             return a * b
         if op == "/":
             if b == 0:
-                raise RuntimeFault("division by zero", e.loc)
-            if isinstance(e.ty, T.IntType):
+                raise RuntimeFault("division by zero", loc)
+            if isinstance(ty, T.IntType):
                 q = abs(a) // abs(b)
                 return q if (a >= 0) == (b >= 0) else -q
             return a / b
         if op == "%":
             if b == 0:
-                raise RuntimeFault("modulo by zero", e.loc)
+                raise RuntimeFault("modulo by zero", loc)
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
             return a - q * b
@@ -621,7 +435,7 @@ class Interpreter:
             return 1 if a > b else 0
         if op == ">=":
             return 1 if a >= b else 0
-        raise RuntimeFault(f"unknown operator {op!r}", e.loc)  # pragma: no cover
+        raise RuntimeFault(f"unknown operator {op!r}", loc)  # pragma: no cover
 
     # ------------------------------------------------------------------
     # calls and synchronization
@@ -777,10 +591,7 @@ class Interpreter:
             addr = self._frame_alloc(proc, stmt.type)
             frame[stmt.name] = (addr, stmt.type)
             if stmt.init is not None:
-                if self._fast_ok(stmt.init):
-                    value = self._fast_eval(proc, frame, stmt.init)
-                else:
-                    value = yield from self._eval(proc, frame, stmt.init)
+                value = yield from self._eval(proc, frame, stmt.init)
                 self.mem[addr] = self._coerce(stmt.type, value)
                 proc.private_refs += 1
             else:
@@ -788,26 +599,16 @@ class Interpreter:
         elif isinstance(stmt, A.Assign):
             yield from self._exec_assign(proc, frame, stmt)
         elif isinstance(stmt, A.ExprStmt):
-            if self._fast_ok(stmt.expr):
-                self._fast_eval(proc, frame, stmt.expr)
-            else:
-                yield from self._eval(proc, frame, stmt.expr)
+            yield from self._eval(proc, frame, stmt.expr)
         elif isinstance(stmt, A.If):
-            if self._fast_ok(stmt.cond):
-                cond = self._fast_eval(proc, frame, stmt.cond)
-            else:
-                cond = yield from self._eval(proc, frame, stmt.cond)
+            cond = yield from self._eval(proc, frame, stmt.cond)
             if cond:
                 yield from self._exec_stmt(proc, frame, stmt.then)
             elif stmt.orelse is not None:
                 yield from self._exec_stmt(proc, frame, stmt.orelse)
         elif isinstance(stmt, A.While):
-            fast_cond = self._fast_ok(stmt.cond)
             while True:
-                if fast_cond:
-                    cond = self._fast_eval(proc, frame, stmt.cond)
-                else:
-                    cond = yield from self._eval(proc, frame, stmt.cond)
+                cond = yield from self._eval(proc, frame, stmt.cond)
                 if not cond:
                     break
                 try:
@@ -819,13 +620,9 @@ class Interpreter:
         elif isinstance(stmt, A.For):
             if stmt.init is not None:
                 yield from self._exec_stmt(proc, frame, stmt.init)
-            fast_cond = stmt.cond is not None and self._fast_ok(stmt.cond)
             while True:
                 if stmt.cond is not None:
-                    if fast_cond:
-                        cond = self._fast_eval(proc, frame, stmt.cond)
-                    else:
-                        cond = yield from self._eval(proc, frame, stmt.cond)
+                    cond = yield from self._eval(proc, frame, stmt.cond)
                     if not cond:
                         break
                 try:
@@ -849,30 +646,11 @@ class Interpreter:
             raise RuntimeFault(f"cannot execute {type(stmt).__name__}", stmt.loc)
 
     def _exec_assign(self, proc: Proc, frame: dict, stmt: A.Assign) -> Iterator:
-        if self._fast_ok(stmt.value):
-            value = self._fast_eval(proc, frame, stmt.value)
-        else:
-            value = yield from self._eval(proc, frame, stmt.value)
-        if self._fast_ok(stmt.target):
-            place = self._fast_eval_place(proc, frame, stmt.target)
-        else:
-            place = yield from self._eval_place(proc, frame, stmt.target)
+        value = yield from self._eval(proc, frame, stmt.value)
+        place = yield from self._eval_place(proc, frame, stmt.target)
         if stmt.op:
             old = self._load_place(proc, place)
-            if stmt.op == "+":
-                value = old + value
-            elif stmt.op == "-":
-                value = old - value
-            elif stmt.op == "*":
-                value = old * value
-            elif stmt.op == "/":
-                if value == 0:
-                    raise RuntimeFault("division by zero", stmt.loc)
-                if isinstance(place.ty, T.IntType):
-                    q = abs(old) // abs(value)
-                    value = q if (old >= 0) == (value >= 0) else -q
-                else:
-                    value = old / value
+            value = self._binop_value(stmt.op, old, value, place.ty, stmt.loc)
         addr, ty = self._materialize(place)
         self._store_raw(proc, addr, ty, self._coerce(ty, value))
 

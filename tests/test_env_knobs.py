@@ -13,7 +13,6 @@ import repro
 
 KNOBS = {
     "REPRO_BENCH_SENTINEL",
-    "REPRO_INTERP_FAST",
     "REPRO_JOBS",
     "REPRO_KERNEL_CACHE",
     "REPRO_MACHINE",

@@ -1,11 +1,17 @@
 """SPMD interpreter tests: semantics, synchronization, determinism."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import RuntimeFault
 from repro.lang import compile_source
 from repro.layout import DataLayout
+from repro.layout.datalayout import BARRIER_ADDR
 from repro.runtime import run_program
+from repro.runtime.stealing import SchedConfig
+from repro.workloads.registry import SIMULATION_WORKLOADS
 
 from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC, interpret
 
@@ -26,8 +32,12 @@ class TestExpressionSemantics:
         assert r.output == ["13", "3", "1"]
 
     def test_c_division_truncates_toward_zero(self):
-        r = run_main("print((0 - 7) / 2); print((0 - 7) % 2); return 0;")
-        assert r.output == ["-3", "-1"]
+        r = run_main(
+            "int x; double d; print((0 - 7) / 2); print((0 - 7) % 2);"
+            " x = 0 - 7; x /= 0 - 2; print(x); x = 0 - 7; x /= 2; print(x);"
+            " d = 1.0; d /= 4.0; print(d); return 0;"
+        )
+        assert r.output == ["-3", "-1", "3", "-3", "0.25"]
 
     def test_double_arithmetic(self):
         r = run_main("double d; d = 1.0 / 4.0; print(d); return 0;")
@@ -152,6 +162,10 @@ class TestMemory:
     def test_division_by_zero_faults(self):
         with pytest.raises(RuntimeFault, match="zero"):
             run_main("int x; x = 0; print(1 / x); return 0;")
+        with pytest.raises(RuntimeFault) as exc:
+            run_main("int x; int y; x = 5; y = 0; x /= y; return 0;")
+        # a compound assignment's fault points at the statement
+        assert str(exc.value) == "<input>:4:29: division by zero"
 
 
 class TestParallelism:
@@ -253,3 +267,119 @@ class TestParallelism:
     def test_work_counters_positive(self, counter_checked):
         r = run_program(counter_checked, DataLayout(counter_checked, nprocs=2), 2)
         assert all(w > 0 for w in r.work.values())
+
+
+def run_digest(r) -> str:
+    """SHA-256 over a run's four trace columns, its per-process
+    counters, its output and its heap and phase records."""
+    h = hashlib.sha256()
+    for col in (r.trace.proc, r.trace.addr, r.trace.size, r.trace.is_write):
+        h.update(np.ascontiguousarray(col).tobytes())
+    for counts in (r.work, r.private_refs, r.shared_refs):
+        h.update(repr(sorted(counts.items())).encode())
+    h.update(
+        repr((r.output, r.exit_value, r.heap_segments, r.phase_marks)).encode()
+    )
+    return h.hexdigest()
+
+
+_DIGEST_CASES = [
+    (wl, sched)
+    for wl in SIMULATION_WORKLOADS
+    for sched in (SchedConfig(), SchedConfig("steal", seed=3))
+]
+
+
+#: run_digest of each workload's natural-layout run at 4 procs.  A change
+#: to the interpreter must leave every trace and counter bit-identical.
+PINNED_DIGESTS = {
+    ("Maxflow", "rr"): "f391611e41fc1434687e37375182f528bbf8471177b55bf900ac9e3b9bf2a7e6",
+    ("Maxflow", "steal:seed=3:grain=16"): "f190fe287a3fd2274219b758b775ff8fa0ab898df277051bdc22f2972b1c95fe",
+    ("Pverify", "rr"): "9d92553938018fae0a7bad7355d8fc8df77c8328dd1bf38f1793e7a5a849ffd6",
+    ("Pverify", "steal:seed=3:grain=16"): "cc111c730a525531ab3fab9968801c87b5307f1b9c2803bf4cd70067d3edd57a",
+    ("Topopt", "rr"): "7e570f2f698fcd598dc04e687cd973ba5f13dbbce57a3e5a46625c9814fd8b6b",
+    ("Topopt", "steal:seed=3:grain=16"): "7b134bce0db89aa9ca672c1d4dd56afe2bb833a58beea0c0912056e4f3046884",
+    ("Fmm", "rr"): "90d4feb87b19cf048d064ccf0747a600f87dc8791acc19576699147127144fd3",
+    ("Fmm", "steal:seed=3:grain=16"): "fa5b55923d2b7bf92628634dbef687bb33b4b2602b8b231ec78af8c28b08cbbf",
+    ("Radiosity", "rr"): "c1e7217bbc6e71202fb5a5c4799cb2fa4365ee77a3e97eddda75fe7953c1d5bf",
+    ("Radiosity", "steal:seed=3:grain=16"): "983e50e71c6b3f008a4e620a4357c686003103706bcc390609ca7a239b8e15d0",
+    ("Raytrace", "rr"): "41a42fbf6b133a4c83488bbb065cc8b06d3e5e1254aa38fdd46506a3df84fcab",
+    ("Raytrace", "steal:seed=3:grain=16"): "fe7cd10c974623ed46eb7edde07dad389eba4e9d813967dddd29204bfc50bb7e",
+}
+
+
+NESTED_SYNC_SRC = """
+int a[4];
+
+int f(int x)
+{
+    barrier();
+    return x;
+}
+
+int g(int x)
+{
+    barrier();
+    return x + 10;
+}
+
+void w(int pid)
+{
+    a[f(1)] = g(2) + a[0];
+}
+
+int main()
+{
+    int p;
+    a[0] = 5;
+    for (p = 0; p < nprocs(); p++) {
+        create(w, p);
+    }
+    wait_for_end();
+    print(a[1]);
+    return 0;
+}
+"""
+
+_A0, _A1, _BAR = 0x10000, 0x10004, BARRIER_ADDR
+
+#: (proc, addr, size, is_write): each worker arrives at g's barrier (read
+#: + write), spins or observes the release, loads a[0], then does the
+#: same at f's barrier before storing a[1].
+NESTED_SYNC_TRACE = [
+    (-1, _A0, 4, True),
+    (0, _BAR, 8, False), (0, _BAR, 8, True), (0, _BAR, 8, False),
+    (1, _BAR, 8, False), (1, _BAR, 8, True), (1, _BAR, 8, False),
+    (0, _BAR, 8, False),
+    (0, _A0, 4, False),
+    (0, _BAR, 8, False), (0, _BAR, 8, True),
+    (1, _A0, 4, False),
+    (1, _BAR, 8, False), (1, _BAR, 8, True), (1, _BAR, 8, False),
+    (1, _A1, 4, True),
+    (0, _BAR, 8, False),
+    (0, _A1, 4, True),
+    (-1, _A1, 4, False),
+]
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize(
+        "wl,sched",
+        _DIGEST_CASES,
+        ids=[f"{wl.name}-{sched.kind}" for wl, sched in _DIGEST_CASES],
+    )
+    def test_run_digest(self, wl, sched):
+        checked = compile_source(wl.source)
+        r = interpret(checked, DataLayout(checked, nprocs=4), 4, sched=sched)
+        assert run_digest(r) == PINNED_DIGESTS[(wl.name, sched.describe())]
+
+    def test_synchronizing_calls_inside_an_expression(self):
+        """User functions that reach ``barrier()`` from inside an index
+        and a binary operand: the value is evaluated before the target,
+        and each call suspends mid-expression."""
+        checked = compile_source(NESTED_SYNC_SRC)
+        r = interpret(checked, DataLayout(checked, nprocs=2), 2)
+        assert r.output == ["17"]
+        assert list(r.trace) == NESTED_SYNC_TRACE
+        assert r.phase_marks == [6, 14]
+        assert r.work == {-1: 48, 0: 24, 1: 24}

@@ -1,7 +1,6 @@
 """Performance-engine infrastructure tests: the persistent trace
-cache, the per-trace simulation memo, the perf counters, the
-interpreter's yield-free fast path, and the parallel experiment lab's
-plan resolution."""
+cache, the per-trace simulation memo, the perf counters, and the parallel
+experiment lab's plan resolution."""
 
 import os
 
@@ -12,14 +11,11 @@ from repro import perf
 from repro.harness.experiments import WorkloadLab, sweep_points
 from repro.harness.parallel import default_jobs, resolve_plan
 from repro.harness.pipeline import Pipeline
-from repro.layout import DataLayout
 from repro.runtime import run_program, trace_cache
 from repro.runtime.trace import Trace, TraceBuffer
 from repro.sim import CacheConfig
 from repro.sim.simcache import cached_simulate, clear
-from repro.workloads.registry import SIMULATION_WORKLOADS, by_name
-
-from conftest import interpret
+from repro.workloads.registry import by_name
 
 
 # ---------------------------------------------------------------------------
@@ -274,37 +270,6 @@ class TestSimMemo:
         # A different geometry is a different entry.
         c = cached_simulate(tr, 2, CacheConfig(size=1024, block_size=32, assoc=2))
         assert c is not a
-
-
-# ---------------------------------------------------------------------------
-# interpreter fast path
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "wl", SIMULATION_WORKLOADS[:2], ids=[w.name for w in SIMULATION_WORKLOADS[:2]]
-)
-def test_interpreter_fast_path_bit_identical(wl, monkeypatch):
-    """REPRO_INTERP_FAST=0 (pure generator evaluation) and the default
-    fast path must produce identical traces and counters."""
-    from repro.lang import compile_source
-
-    checked = compile_source(wl.source)
-    layout = DataLayout(checked, None, block_size=128, nprocs=4)
-    monkeypatch.setenv("REPRO_INTERP_FAST", "0")
-    slow = interpret(checked, layout, 4)
-    monkeypatch.setenv("REPRO_INTERP_FAST", "1")
-    fast = interpret(checked, layout, 4)
-    assert np.array_equal(slow.trace.proc, fast.trace.proc)
-    assert np.array_equal(slow.trace.addr, fast.trace.addr)
-    assert np.array_equal(slow.trace.size, fast.trace.size)
-    assert np.array_equal(slow.trace.is_write, fast.trace.is_write)
-    assert slow.work == fast.work
-    assert slow.private_refs == fast.private_refs
-    assert slow.shared_refs == fast.shared_refs
-    assert slow.output == fast.output
-    assert slow.exit_value == fast.exit_value
-    assert slow.heap_segments == fast.heap_segments
 
 
 # ---------------------------------------------------------------------------
