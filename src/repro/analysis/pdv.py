@@ -49,10 +49,6 @@ class PDVInfo:
     def binding(self, func: str, var: str) -> Affine | None:
         return self.bindings.get(func, {}).get(var)
 
-    def is_pdv(self, func: str, var: str) -> bool:
-        b = self.binding(func, var)
-        return b is not None and b.depends_on_pdv
-
 
 def detect_pdvs(checked: CheckedProgram, cg: CallGraph, nprocs: int) -> PDVInfo:
     """Run PDV detection for a given process count.

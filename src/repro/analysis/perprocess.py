@@ -34,10 +34,6 @@ class ProcSetResult:
     entry: dict[str, frozenset[int]] = field(default_factory=dict)
     nprocs: int = 0
 
-    def procs_of(self, func: str, stmt: A.Stmt) -> frozenset[int]:
-        default = self.entry.get(func, frozenset())
-        return self.sets.get(func, {}).get(id(stmt), default)
-
 
 def eval_cond_for_pid(
     cond: A.Expr,

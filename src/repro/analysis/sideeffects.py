@@ -107,9 +107,6 @@ class SideEffects:
     entries: list[AccessEntry] = field(default_factory=list)
     nprocs: int = 0
 
-    def for_target(self, target: Target) -> list[AccessEntry]:
-        return [e for e in self.entries if e.target == target]
-
     def targets(self) -> list[Target]:
         seen: dict[Target, None] = {}
         for e in self.entries:

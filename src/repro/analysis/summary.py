@@ -92,12 +92,6 @@ class TargetPattern:
         return self.write_pp / self.writes >= 0.9
 
     @property
-    def dominant_phase(self) -> Optional[int]:
-        if not self.phases:
-            return None
-        return max(self.phases, key=lambda p: self.phases[p].total)
-
-    @property
     def pattern_shifts(self) -> bool:
         """Does the per-process/shared classification flip across phases?"""
         kinds = set()
@@ -189,9 +183,6 @@ class ProgramAnalysis:
 
     def pattern(self, base: str, path: tuple[str, ...] = ()) -> Optional[TargetPattern]:
         return self.patterns.get(Target(base, path))
-
-    def patterns_of_base(self, base: str) -> list[TargetPattern]:
-        return [p for t, p in self.patterns.items() if t.base == base]
 
 
 def analyze_program(checked: CheckedProgram, nprocs: int) -> ProgramAnalysis:

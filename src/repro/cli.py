@@ -687,10 +687,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_artifacts(args) -> int:
-    from repro.runtime import artifacts, trace_cache
+    from repro.runtime import trace_cache
 
     if args.root:
-        store = artifacts.ArtifactStore(args.root)
+        if not Path(args.root).is_dir():
+            raise ReproError(f"--root {args.root}: no such directory")
+        store = trace_cache.TraceStore(args.root)
     else:
         store = trace_cache.store()
         if store is None:
@@ -724,9 +726,6 @@ def cmd_artifacts(args) -> int:
             print(f"entries: {stats['entries']}  "
                   f"bytes: {stats['bytes']}  "
                   f"budget: {stats['budget_bytes'] or 'unbounded'}")
-            for ns, rec in sorted(stats["namespaces"].items()):
-                print(f"  {ns}: {rec['entries']} entries, "
-                      f"{rec['bytes']} bytes")
     return 0
 
 
@@ -1031,14 +1030,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "artifacts",
-        help="inspect/maintain the trace cache's content-addressed store",
+        help="inspect/maintain the trace cache's store",
     )
     p.add_argument("--root", metavar="DIR", default=None,
                    help="store root (default: the trace cache, "
                    "$REPRO_TRACE_CACHE or ~/.cache/repro/traces)")
     p.add_argument("--stats", action="store_true",
-                   help="entry/byte counts per namespace (the default "
-                   "action)")
+                   help="entry and byte counts (the default action)")
     p.add_argument("--prune", action="store_true",
                    help="delete every entry")
     p.add_argument("--fsck", action="store_true",

@@ -3,10 +3,14 @@
 Every stage of the pipeline (lexing, parsing, semantic checking, analysis,
 transformation, interpretation, simulation) raises a subclass of
 :class:`ReproError`, so callers can catch one type at the harness boundary.
+So does :func:`env_number`, the one parser of the numeric ``REPRO_*``
+knobs.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 
@@ -67,3 +71,21 @@ class RuntimeFault(ReproError):
 
 class SimulationError(ReproError):
     """Raised by the cache simulator for invalid configurations."""
+
+
+def env_number(name: str, default, cast=int):
+    """The environment variable ``name`` parsed by ``cast`` (``int`` or
+    ``float``); ``default`` when it is unset or blank.  A malformed or
+    non-finite value raises a one-line :class:`ReproError` instead of
+    silently meaning the default."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        value = cast(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ReproError(f"{name} must be {kind}; got {raw!r}") from None
+    return value

@@ -136,10 +136,6 @@ class Figure3Cell:
     miss_rate: float
     fs_rate: float
 
-    @property
-    def other_rate(self) -> float:
-        return self.miss_rate - self.fs_rate
-
 
 @dataclass(slots=True)
 class Figure3Row:

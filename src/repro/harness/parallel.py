@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import perf
+from repro.errors import env_number
 from repro.obs import spans as obs
 from repro.transform import TransformPlan
 
@@ -41,13 +42,7 @@ Point = tuple[str, str, int]
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (default: CPU count)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return max(env_number(JOBS_ENV, os.cpu_count() or 1), 1)
 
 
 def resolve_plan(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.lang import astnodes as A
 
@@ -84,11 +84,6 @@ class CFG:
 
     def nodes_of_kind(self, kind: NodeKind) -> list[CFGNode]:
         return [n for n in self.nodes if n.kind is kind]
-
-    def stmt_nodes(self) -> Iterator[CFGNode]:
-        for n in self.nodes:
-            if n.stmt is not None or n.expr is not None:
-                yield n
 
     def __len__(self) -> int:
         return len(self.nodes)

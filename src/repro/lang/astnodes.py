@@ -229,12 +229,6 @@ class Program(Node):
                 return f
         return None
 
-    def global_var(self, name: str) -> VarDecl | None:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
-
 
 # --------------------------------------------------------------------------
 # Generic traversal helpers

@@ -19,10 +19,6 @@ class CType:
     def __str__(self) -> str:  # pragma: no cover - overridden
         return "<type>"
 
-    @property
-    def is_scalar(self) -> bool:
-        return isinstance(self, (IntType, DoubleType, PointerType, LockType))
-
 
 @dataclass(frozen=True, slots=True)
 class IntType(CType):
@@ -164,13 +160,6 @@ def layout_struct(name: str, members: list[tuple[str, CType]]) -> StructType:
 
 def _round_up(n: int, align: int) -> int:
     return (n + align - 1) // align * align
-
-
-def strip_array(ty: CType) -> CType:
-    """Element type of an array after indexing through all dimensions."""
-    if isinstance(ty, ArrayType):
-        return ty.elem
-    return ty
 
 
 @dataclass(slots=True)

@@ -77,9 +77,3 @@ class SymbolTable:
     ident_symbols: dict[int, Symbol] = field(default_factory=dict)
     #: For every VarDecl statement node (by id), its Symbol.
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)
-
-    def symbol_of(self, ident: A.Ident) -> Symbol:
-        sym = self.ident_symbols.get(id(ident))
-        if sym is None:
-            raise CheckError(f"unresolved identifier {ident.name!r}", ident.loc)
-        return sym

@@ -307,9 +307,6 @@ class DataLayout:
 
     # -- address resolution ------------------------------------------------------------------
 
-    def is_grouped(self, base: str, path: tuple[str, ...]) -> bool:
-        return (base, path) in self._group_addr
-
     def is_indirected(self, struct_name: str, field_name: str) -> bool:
         return (struct_name, field_name) in self.indirected
 

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.obs import manifest
-from repro.runtime.artifacts import exclusive_lock
+from repro.runtime.trace_cache import exclusive_lock
 
 #: Default store root when the CLI is not given ``--store``.
 STORE_ENV = "REPRO_OBS_STORE"

@@ -37,10 +37,6 @@ def opaque(name: str) -> str:
     return OPAQUE_PREFIX + name
 
 
-def is_opaque(sym: str) -> bool:
-    return sym.startswith(OPAQUE_PREFIX)
-
-
 @dataclass(frozen=True)
 class Affine:
     """An immutable affine form ``const + sum(coeff * symbol)``.

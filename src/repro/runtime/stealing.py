@@ -56,7 +56,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import RuntimeFault
+from repro.errors import RuntimeFault, env_number
 from repro.runtime.scheduler import Proc, Scheduler
 
 ENV_SCHED = "REPRO_SCHED"
@@ -106,16 +106,6 @@ class SchedConfig:
 RR = SchedConfig()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise RuntimeFault(f"{name} must be an integer; got {raw!r}")
-
-
 def resolve_sched(
     kind: str | None = None,
     seed: int | None = None,
@@ -134,9 +124,9 @@ def resolve_sched(
             f"{ENV_SCHED} must be one of {SCHED_KINDS}; got {kind!r}"
         )
     if seed is None:
-        seed = _env_int(ENV_SEED, 0)
+        seed = env_number(ENV_SEED, 0)
     if grain is None:
-        grain = _env_int(ENV_GRAIN, DEFAULT_GRAIN)
+        grain = env_number(ENV_GRAIN, DEFAULT_GRAIN)
     if kind == "rr":
         return RR
     return SchedConfig(kind=kind, seed=seed, grain=grain)

@@ -150,7 +150,3 @@ class RunResult:
     #: ``phase_marks[k-1] <= i < phase_marks[k]`` executed in phase ``k``.
     #: Empty for barrier-free programs.
     phase_marks: list[int] = field(default_factory=list)
-
-    @property
-    def total_refs(self) -> int:
-        return int(sum(self.private_refs.values()) + sum(self.shared_refs.values()))

@@ -9,17 +9,47 @@ scheduler quantum, step limit)`` — so the complete
 hash of those inputs, and *repeat benchmark runs skip interpretation
 entirely*.
 
-Storage goes through the content-addressed artifact store
-(:mod:`repro.runtime.artifacts`, namespace ``trace``): entries live
-under ``<cache dir>/shards/<hex digit>/trace--<key>.npz`` with an
-integrity sidecar, published atomically under the store's ``flock`` so
-concurrent writers (the parallel experiment lab) can race on the same
-key safely and eviction sweeps can never interleave with a publish.
-``repro artifacts --stats/--prune/--fsck`` inspects and maintains it.
-
 Each entry holds the four trace columns whole (``proc``/``addr``/
 ``size``/``is_write``) plus a JSON ``meta`` member carrying the scalar
-counters.
+counters.  Entries live in a :class:`TraceStore` rooted at the cache
+directory (``repro artifacts --stats/--prune/--fsck`` inspects and
+maintains it)::
+
+    <root>/
+      store.lock                          fcntl advisory lock for writers
+      shards/<0-f>/trace--<key>.npz       the frozen run
+      shards/<0-f>/trace--<key>.meta.json sidecar: file, bytes, sha256
+
+* **Content-addressed keys** — a key is the SHA-256 of the run's full
+  input identity (:func:`run_key`).  Entries shard by the key's first
+  hex digit.
+* **Atomic publish** — a payload is written into a temp file in its
+  shard and published with ``os.replace``; the sidecar is written the
+  same way, *after* the payload.  A reader never observes a partial
+  payload: either the sidecar names a fully published file or the
+  entry does not exist yet.
+* **Concurrent writers** — publishes and evictions serialize on
+  ``store.lock`` (``fcntl.flock``), so the parallel experiment lab's
+  workers race safely on one key (last writer wins with an identical
+  payload) and an eviction sweep never interleaves with a publish.
+  Readers take no lock.
+* **LRU byte budget** — every read refreshes the payload's mtime, and
+  a publish that pushes the store over ``REPRO_TRACE_CACHE_MAX_MB``
+  evicts the least recently *used* entries, never the one just
+  published.  POSIX ``unlink`` leaves open handles valid, so eviction
+  never invalidates an entry a reader already has open.
+* **Integrity on read** — the sidecar records the payload's byte count
+  and SHA-256.  Reads check the size always, and the full digest under
+  ``TraceStore.get(verify=True)`` or :meth:`TraceStore.fsck`.  An
+  unusable entry — bad size or digest, undecodable payload, stale key
+  echo — is dropped with a logged warning and the run is recomputed;
+  it is never an error.
+
+Writes never fail a run either: an unwritable store counts
+``trace_cache.store_failed`` and moves on.  Every counter is in the
+``trace_cache.*`` family (``hit``, ``miss``, ``store``,
+``store_failed``, ``corrupt``, ``evicted``, ``evicted_bytes``), which
+is what run manifests persist.
 
 Environment knobs
 -----------------
@@ -32,10 +62,10 @@ Environment knobs
     (default 4096) — keeps unit-test-sized runs from littering the
     cache.
 ``REPRO_TRACE_CACHE_MAX_MB``
-    Size budget for the cache directory.  When a store pushes the
-    total over the budget, least-recently-*used* entries are evicted
-    (every cache hit refreshes its entry's mtime) until the directory
-    fits, logging what was dropped.  Unset/0 = unbounded.
+    Size budget for the cache directory, enforced by LRU eviction as
+    above (each drop logged at INFO).  Unset/0 = unbounded.
+
+A malformed number in either numeric knob is a one-line error.
 
 Invalidation: keys include :data:`SCHEMA` — bump it whenever the
 interpreter's observable behaviour (addresses, scheduling, counters)
@@ -45,15 +75,18 @@ regenerated; ``prune()`` deletes everything for a fresh start.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro import perf
-from repro.runtime import artifacts
+from repro.errors import env_number
 from repro.runtime.trace import RunResult, Trace
 
 log = logging.getLogger("repro.trace_cache")
@@ -65,6 +98,9 @@ log = logging.getLogger("repro.trace_cache")
 #: ``phase_marks`` — barrier-release trace indices — which the dynamic
 #: mitigation engine needs, so pre-4 entries must re-interpret).
 SCHEMA = 4
+
+#: Sidecar schema — bump to invalidate every entry.
+META_SCHEMA = 1
 
 #: Metadata fields a well-formed entry must carry.
 _REQUIRED_META = (
@@ -79,6 +115,8 @@ _DISABLED = {"0", "off", "no", "none", "false"}
 
 _COLUMNS = ("proc", "addr", "size", "is_write")
 
+SHARD_DIGITS = "0123456789abcdef"
+
 
 def cache_dir() -> Path | None:
     """The active cache directory, or None when persistence is off."""
@@ -91,19 +129,22 @@ def cache_dir() -> Path | None:
 
 
 def min_refs() -> int:
-    try:
-        return int(os.environ.get(_ENV_MIN, "4096"))
-    except ValueError:
-        return 4096
+    return env_number(_ENV_MIN, 4096)
 
 
 def max_bytes() -> int:
     """The eviction budget in bytes (0 = unbounded)."""
-    try:
-        mb = float(os.environ.get(_ENV_MAX_MB, "0"))
-    except ValueError:
-        return 0
+    mb = env_number(_ENV_MAX_MB, 0.0, float)
     return int(mb * 1024 * 1024) if mb > 0 else 0
+
+
+def content_key(*parts: str) -> str:
+    """SHA-256 hex key over NUL-joined identity strings."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def run_key(
@@ -125,7 +166,7 @@ def run_key(
     joined the key a steal-mode run would silently replay a cached
     round-robin trace.
     """
-    return artifacts.content_key(
+    return content_key(
         f"schema={SCHEMA}", source, plan_desc,
         f"nprocs={nprocs}", f"block={block_size}",
         f"quantum={quantum}", f"max_steps={max_steps}",
@@ -133,37 +174,234 @@ def run_key(
     )
 
 
-def store() -> artifacts.ArtifactStore | None:
-    """The artifact store backing this cache (namespace ``trace``),
-    rooted at the cache directory and bounded by
+@contextmanager
+def exclusive_lock(path: Path):
+    """Hold an advisory ``flock`` on ``path`` (created if missing) for
+    the duration of the block; lockless where flock is unsupported.
+    Both :class:`TraceStore` and :class:`repro.obs.store.RunStore`
+    serialize their writers through it."""
+    fh = open(path, "a+")
+    try:
+        try:
+            import fcntl
+
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        except (ImportError, OSError):
+            pass
+        yield
+    finally:
+        fh.close()  # releases the flock
+
+
+def _file_sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _unlink(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _read_meta(mpath: Path) -> dict | None:
+    try:
+        meta = json.loads(mpath.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return meta if isinstance(meta, dict) else None
+
+
+def _payload_of(mpath: Path, meta: dict) -> Path:
+    """The payload a sidecar names, kept inside the sidecar's shard so a
+    doctored ``file`` field cannot reach (or delete) files elsewhere."""
+    return mpath.parent / Path(str(meta.get("file", ""))).name
+
+
+def _problem(path: Path, meta: dict, verify: bool) -> str | None:
+    """Why ``path`` does not match its sidecar, or None when it does."""
+    try:
+        size = path.stat().st_size
+        if size != meta.get("bytes"):
+            return f"size {size} != recorded {meta.get('bytes')}"
+        if verify and _file_sha256(path) != meta.get("sha256"):
+            return "sha256 mismatch"
+    except OSError:
+        return "payload missing"
+    return None
+
+
+class TraceStore:
+    """The 16-shard store holding the cache's entries under ``root``;
+    ``max_bytes`` is the LRU byte budget (0 = unbounded)."""
+
+    def __init__(self, root: str | Path, max_bytes: int = 0):
+        self.root = Path(root)
+        self.max_bytes = max_bytes
+
+    def payload_path(self, key: str) -> Path:
+        digit = key[:1].lower()
+        shard = digit if digit in SHARD_DIGITS else "0"
+        return self.root / "shards" / shard / f"trace--{key}.npz"
+
+    def _meta_path(self, key: str) -> Path:
+        return self.payload_path(key).with_suffix(".meta.json")
+
+    def _lock(self):
+        self.root.mkdir(parents=True, exist_ok=True)
+        return exclusive_lock(self.root / "store.lock")
+
+    def _entries(self) -> list[tuple[Path, Path, dict]]:
+        """``(payload, sidecar, meta)`` for every readable sidecar."""
+        out = []
+        for mpath in sorted(self.root.glob("shards/*/*.meta.json")):
+            meta = _read_meta(mpath)
+            if meta is not None and "key" in meta:
+                out.append((_payload_of(mpath, meta), mpath, meta))
+        return out
+
+    def publish(self, key: str, tmp: Path) -> None:
+        """Publish the finished temp file ``tmp`` (in ``key``'s shard)
+        as ``key``'s payload, then its sidecar, then enforce the byte
+        budget — all under the store lock.  Raises ``OSError``."""
+        final = self.payload_path(key)
+        meta = {
+            "schema": META_SCHEMA,
+            "namespace": "trace",
+            "key": key,
+            "file": final.name,
+            "bytes": tmp.stat().st_size,
+            "sha256": _file_sha256(tmp),
+        }
+        with self._lock():
+            os.replace(tmp, final)
+            fd, mtmp = tempfile.mkstemp(
+                dir=final.parent, prefix=".tmp-", suffix=".meta.json"
+            )
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(meta, fh)
+            os.replace(mtmp, self._meta_path(key))
+            self._evict_over_budget(exempt=final)
+
+    def get(self, key: str, *, verify: bool = False) -> Path | None:
+        """``key``'s payload with its recency refreshed, or None on a
+        miss.  A payload that is missing, does not match its sidecar's
+        size, or (under ``verify=True``) its SHA-256, is dropped."""
+        mpath = self._meta_path(key)
+        meta = _read_meta(mpath)
+        if meta is None or meta.get("schema") != META_SCHEMA:
+            perf.add("trace_cache.miss")
+            return None
+        path = _payload_of(mpath, meta)
+        problem = _problem(path, meta, verify)
+        if problem is not None:
+            self.drop_corrupt(key, problem)
+            return None
+        try:
+            os.utime(path, None)
+        except OSError:
+            pass
+        return path
+
+    def drop_corrupt(self, key: str, problem: str) -> None:
+        perf.add("trace_cache.corrupt")
+        log.warning(
+            "trace cache entry %s… is unusable (%s); dropping it and "
+            "recomputing the run", key[:12], problem,
+        )
+        self.delete(key)
+
+    def delete(self, key: str) -> None:
+        with self._lock():
+            _unlink(self.payload_path(key))
+            _unlink(self._meta_path(key))
+
+    def stats(self) -> dict:
+        """``{"root", "entries", "bytes", "budget_bytes"}``."""
+        entries = self._entries()
+        return {
+            "root": str(self.root),
+            "entries": len(entries),
+            "bytes": sum(int(meta.get("bytes", 0)) for *_, meta in entries),
+            "budget_bytes": self.max_bytes or None,
+        }
+
+    def _evict_over_budget(self, exempt: Path) -> None:
+        """LRU-evict until the store fits its budget (the caller holds
+        the lock).  ``exempt``, the payload just published, is never
+        evicted before its first use."""
+        if not self.max_bytes:
+            return
+        aged = []
+        for path, mpath, _meta in self._entries():
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            aged.append((st.st_mtime, path.name, st.st_size, path, mpath))
+        total = sum(size for _, _, size, _, _ in aged)
+        evicted: list[str] = []
+        for _mtime, name, size, path, mpath in sorted(aged):  # LRU first
+            if total <= self.max_bytes:
+                break
+            if path == exempt:
+                continue
+            _unlink(path)
+            _unlink(mpath)
+            total -= size
+            evicted.append(name)
+            perf.add("trace_cache.evicted")
+            perf.add("trace_cache.evicted_bytes", size)
+        if evicted:
+            log.info(
+                "trace cache over budget (%d MB): evicted %d LRU "
+                "entries (%s)", self.max_bytes // (1024 * 1024),
+                len(evicted), ", ".join(evicted[:8]),
+            )
+
+    def prune(self) -> int:
+        """Delete every entry; returns the number removed."""
+        with self._lock():
+            entries = self._entries()
+            for path, mpath, _meta in entries:
+                _unlink(path)
+                _unlink(mpath)
+        return len(entries)
+
+    def fsck(self) -> dict:
+        """Re-hash every payload and drop the corrupt entries.
+        Returns ``{"checked", "dropped": [payload names]}``."""
+        dropped: list[str] = []
+        with self._lock():
+            entries = self._entries()
+            for path, mpath, meta in entries:
+                if _problem(path, meta, verify=True) is not None:
+                    _unlink(path)
+                    _unlink(mpath)
+                    dropped.append(path.name)
+        if dropped:
+            log.warning(
+                "trace cache fsck dropped %d corrupt entries (%s)",
+                len(dropped), ", ".join(dropped[:8]),
+            )
+        return {"checked": len(entries), "dropped": dropped}
+
+
+def store() -> TraceStore | None:
+    """The store at the cache directory, bounded by
     ``REPRO_TRACE_CACHE_MAX_MB``; None when persistence is off."""
     root = cache_dir()
-    if root is None:
-        return None
-    return artifacts.ArtifactStore(root, max_bytes=max_bytes())
+    return None if root is None else TraceStore(root, max_bytes())
 
 
 def entry_path(key: str) -> Path | None:
     """Where ``key``'s payload lives once published (tests, tooling)."""
     st = store()
-    if st is None:
-        return None
-    return st._payload_path(artifacts.NS_TRACE, key, ".npz")
-
-
-def _lookup(key: str) -> Path | None:
-    """Resolve ``key`` to a readable payload path (None on miss)."""
-    st = store()
-    if st is None:
-        return None
-    info = st.get(artifacts.NS_TRACE, key)
-    return info.path if info is not None else None
-
-
-def _drop(key: str) -> None:
-    st = store()
-    if st is not None:
-        st.delete(artifacts.NS_TRACE, key)
+    return None if st is None else st.payload_path(key)
 
 
 def _meta_dict(key: str, run: RunResult) -> dict:
@@ -240,21 +478,18 @@ def load_run(key: str) -> RunResult | None:
     dropped with a logged warning and the caller falls back to
     re-interpreting the run.
     """
-    path = _lookup(key)
-    if path is None:
+    st = store()
+    if st is None:
         perf.add("trace_cache.miss")
+        return None
+    path = st.get(key)
+    if path is None:
         return None
     try:
         with np.load(path, allow_pickle=False) as z:
             run = _validated_run(z, key)
     except Exception as e:
-        # Corrupt or incompatible entry: drop it and re-interpret.
-        perf.add("trace_cache.corrupt")
-        log.warning(
-            "trace cache entry %s is unusable (%s: %s); "
-            "recomputing the run", path.name, type(e).__name__, e,
-        )
-        _drop(key)
+        st.drop_corrupt(key, f"{type(e).__name__}: {e}")
         return None
     perf.add("trace_cache.hit")
     return run
@@ -294,12 +529,12 @@ def store_run(key: str, run: RunResult) -> bool:
     if st is None or len(run.trace) < min_refs():
         return False
     meta = json.dumps(_meta_dict(key, run)).encode()
-    writer = st.writer(artifacts.NS_TRACE, key, ".npz")
-    if not writer.active:
-        perf.add("trace_cache.store_failed")
-        return False
+    shard = st.payload_path(key).parent
+    tmp = None
     try:
-        with open(writer.path, "wb") as fh:
+        shard.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".npz")
+        with os.fdopen(fd, "wb") as fh:
             np.savez(
                 fh,
                 proc=run.trace.proc,
@@ -308,13 +543,14 @@ def store_run(key: str, run: RunResult) -> bool:
                 is_write=run.trace.is_write,
                 meta=np.frombuffer(meta, dtype=np.uint8),
             )
+        st.publish(key, Path(tmp))
+        tmp = None
     except OSError:
         perf.add("trace_cache.store_failed")
-        writer.abort()
         return False
-    if writer.commit() is None:
-        perf.add("trace_cache.store_failed")
-        return False
+    finally:
+        if tmp is not None:
+            _unlink(Path(tmp))
     perf.add("trace_cache.store")
     return True
 
@@ -324,4 +560,4 @@ def prune() -> int:
     st = store()
     if st is None or not st.root.exists():
         return 0
-    return st.prune(artifacts.NS_TRACE)
+    return st.prune()

@@ -100,9 +100,3 @@ class Cache:
         s.pop(block, None)
         s[block] = state
         return victim
-
-    def resident_blocks(self) -> list[int]:
-        out: list[int] = []
-        for s in self.sets:
-            out.extend(s)
-        return out

@@ -166,14 +166,6 @@ class SimResult:
         denom = self.refs + self.extra_refs
         return self.misses.false_sharing / denom if denom else 0.0
 
-    @property
-    def other_miss_rate(self) -> float:
-        return self.miss_rate - self.fs_miss_rate
-
-    @property
-    def coherence_misses(self) -> int:
-        return self.misses.true_sharing + self.misses.false_sharing
-
 
 class CoherenceSim:
     """Write-invalidate multiprocessor cache simulator.

@@ -19,6 +19,17 @@ def interpret(checked, layout, nprocs: int, **kw):
     return Interpreter(checked, layout, nprocs, **kw).run()
 
 
+def plant_entry(store, key: str, data: bytes):
+    """Publish raw ``data`` as ``key``'s entry in the trace cache's
+    ``store`` through its own publish path, so the sidecar vouches for
+    the payload; returns the payload path."""
+    tmp = store.payload_path(key).with_name(".tmp-plant")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    tmp.write_bytes(data)
+    store.publish(key, tmp)
+    return store.payload_path(key)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

@@ -181,7 +181,6 @@ class TestArtifactsCLI:
     def test_stats_then_prune(self, stored, capsys):
         stats = self._stats(capsys)
         assert stats["entries"] == 1
-        assert stats["namespaces"]["trace"]["entries"] == 1
         assert main(["artifacts", "--prune"]) == 0
         assert "[pruned 1 entries]" in capsys.readouterr().err
         assert self._stats(capsys)["entries"] == 0
@@ -189,6 +188,23 @@ class TestArtifactsCLI:
     def test_fsck_clean_store(self, stored, capsys):
         assert main(["artifacts", "--fsck"]) == 0
         assert "[fsck: 1 checked, 0 dropped]" in capsys.readouterr().err
+
+    def test_missing_root_is_a_one_line_error(self, tmp_path, capsys):
+        typo = tmp_path / "typo"
+        for action in ("--fsck", "--stats", "--prune"):
+            assert main(["artifacts", action, "--root", str(typo)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"repro: --root {typo}: no such directory\n"
+        assert not typo.exists(), "a failed --root must create nothing"
+
+    def test_root_names_another_store(self, stored, tmp_path, capsys):
+        import json
+
+        root = str(tmp_path / "traces")
+        assert main(["artifacts", "--fsck", "--root", root]) == 0
+        assert "[fsck: 1 checked, 0 dropped]" in capsys.readouterr().err
+        assert main(["artifacts", "--json", "--root", root]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 1
 
     def test_cache_off_is_a_one_line_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")

@@ -9,7 +9,10 @@ both places at once.
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.errors import ReproError
 
 KNOBS = {
     "REPRO_BENCH_SENTINEL",
@@ -50,3 +53,55 @@ def test_readme_table_lists_every_knob():
         encoding="utf-8"), flags=re.M)
     assert len(rows) == len(set(rows)), "a knob is listed twice"
     assert set(rows) == KNOBS
+
+
+# ---------------------------------------------------------------------------
+# numeric knobs: malformed values are a one-line error, never the default
+# ---------------------------------------------------------------------------
+
+
+def _numeric_knobs():
+    from repro.harness.parallel import default_jobs
+    from repro.runtime import stealing, trace_cache
+
+    return [
+        ("REPRO_JOBS", default_jobs, "an integer"),
+        ("REPRO_SCHED_SEED", lambda: stealing.resolve_sched("steal"),
+         "an integer"),
+        ("REPRO_TRACE_CACHE_MIN", trace_cache.min_refs, "an integer"),
+        ("REPRO_TRACE_CACHE_MAX_MB", trace_cache.max_bytes, "a number"),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["abc", "lots", "1.5x", "inf", "nan"])
+def test_malformed_numeric_knob_raises(monkeypatch, bad):
+    for name, read, kind in _numeric_knobs():
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(ReproError) as err:
+            read()
+        assert str(err.value) == f"{name} must be {kind}; got {bad!r}"
+        monkeypatch.delenv(name)
+
+
+def test_unset_or_blank_numeric_knob_is_the_default(monkeypatch):
+    from repro.runtime import trace_cache
+
+    for raw in (None, "", "  "):
+        for name in ("REPRO_TRACE_CACHE_MIN", "REPRO_TRACE_CACHE_MAX_MB"):
+            if raw is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, raw)
+        assert trace_cache.min_refs() == 4096
+        assert trace_cache.max_bytes() == 0
+    monkeypatch.setenv("REPRO_TRACE_CACHE_MAX_MB", "0.5")
+    assert trace_cache.max_bytes() == 512 * 1024
+
+
+def test_malformed_knob_is_a_one_line_cli_error(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE_MAX_MB", "lots")
+    assert main(["artifacts", "--stats"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro: REPRO_TRACE_CACHE_MAX_MB must be a number; got 'lots'\n"

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import plant_entry
 from repro import perf
 from repro.harness.experiments import WorkloadLab, sweep_points
 from repro.harness.parallel import default_jobs, resolve_plan
@@ -130,7 +131,7 @@ class TestTraceCache:
     def test_corrupt_entry_dropped(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         key = trace_cache.run_key("s", "p", 2, 128, 4, 100)
-        trace_cache.store().put_bytes("trace", key, b"not an npz", ".npz")
+        plant_entry(trace_cache.store(), key, b"not an npz")
         perf.reset()
         assert trace_cache.load_run(key) is None
         assert perf.get("trace_cache.corrupt") == 1.0
@@ -139,8 +140,8 @@ class TestTraceCache:
     def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
         """A half-written .npz falls back to recomputation, not a crash.
 
-        Truncation is caught one layer down now: the artifact store's
-        size check fails before numpy ever sees the payload."""
+        Truncation is caught by the store's size check before numpy
+        ever sees the payload."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
@@ -151,7 +152,7 @@ class TestTraceCache:
         path.write_bytes(blob[: len(blob) // 2])
         perf.reset()
         assert trace_cache.load_run(key) is None
-        assert perf.get("artifacts.corrupt") == 1.0
+        assert perf.get("trace_cache.corrupt") == 1.0
         assert not path.exists()  # the bad entry is gone for good
         # and a fresh store round-trips again
         assert trace_cache.store_run(key, vr.run)
@@ -169,9 +170,9 @@ class TestTraceCache:
         assert trace_cache.store_run(key_a, vr.run)
         # masquerade A's payload as B's entry (published properly, so
         # only the key echo inside the npz can catch the swap)
-        trace_cache.store().put_bytes(
-            "trace", key_b, trace_cache.entry_path(key_a).read_bytes(),
-            ".npz",
+        plant_entry(
+            trace_cache.store(), key_b,
+            trace_cache.entry_path(key_a).read_bytes(),
         )
         perf.reset()
         assert trace_cache.load_run(key_b) is None
@@ -184,6 +185,7 @@ class TestTraceCache:
         ``phase_marks``, or the retired chunked-shard layout — are
         recomputed by ``load_run`` and raise a one-line ``ReproError``
         from ``load_file``."""
+        import io
         import json
         import re
 
@@ -221,9 +223,9 @@ class TestTraceCache:
                 json.dumps(meta).encode(), dtype=np.uint8
             )
             # republish so the store sidecar matches the doctored payload
-            writer = trace_cache.store().writer("trace", key, ".npz")
-            np.savez(writer.path, **data)
-            assert writer.commit() is not None
+            buf = io.BytesIO()
+            np.savez(buf, **data)
+            plant_entry(trace_cache.store(), key, buf.getvalue())
             with pytest.raises(ReproError, match=re.escape(reason)) as err:
                 trace_cache.load_file(path)
             assert "\n" not in str(err.value)
@@ -281,8 +283,8 @@ class TestParallelLab:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "bogus")
-        assert default_jobs() >= 1
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert default_jobs() == 1
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() >= 1
 

@@ -1,7 +1,6 @@
 """Persistent trace cache: the whole-column entry layout, the
-``REPRO_TRACE_CACHE_MAX_MB`` LRU size budget, and the unified artifact
-store underneath it (sharded layout, atomic flock'd publish, racing
-concurrent writers).
+``REPRO_TRACE_CACHE_MAX_MB`` LRU size budget, and the store underneath
+it (sharded layout, atomic flock'd publish, racing concurrent writers).
 
 The eviction policy under test: every *load* refreshes an entry's
 recency (mtime), stores enforce the budget afterwards, oldest-unused
@@ -150,7 +149,7 @@ def test_eviction_logs_drops(cache, monkeypatch, caplog):
     monkeypatch.setenv(
         "REPRO_TRACE_CACHE_MAX_MB", str(_entry_mb(cache, key_for(40)) * 1.5)
     )
-    with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+    with caplog.at_level(logging.INFO, logger="repro.trace_cache"):
         tc.store_run(key_for(43), make_run(2000, seed=43))
     assert any("evicted" in r.message for r in caplog.records)
 
@@ -172,7 +171,7 @@ def test_load_refreshes_mtime(cache):
 
 
 # ---------------------------------------------------------------------------
-# satellite: concurrent writers race safely through the artifact store
+# satellite: concurrent writers race safely through the store
 # ---------------------------------------------------------------------------
 
 
