@@ -708,7 +708,7 @@ def cmd_artifacts(args) -> int:
     if args.fsck:
         report = store.fsck()
         for name in report["dropped"]:
-            print(f"dropped corrupt entry {name}")
+            print(f"dropped {name}")
         print(
             f"[fsck: {report['checked']} checked, "
             f"{len(report['dropped'])} dropped]",
@@ -726,6 +726,9 @@ def cmd_artifacts(args) -> int:
             print(f"entries: {stats['entries']}  "
                   f"bytes: {stats['bytes']}  "
                   f"budget: {stats['budget_bytes'] or 'unbounded'}")
+            if stats["orphans"]:
+                print(f"orphan payloads: {stats['orphans']} "
+                      "(repro artifacts --fsck removes them)")
     return 0
 
 

@@ -5,7 +5,7 @@ area; every access gains one dereference: ``p->f`` becomes ``*(p->f)``.
 The per-process areas themselves are installed by generated setup code
 at the start of the parallel phase (in this reproduction, by the
 runtime's install/migrate protocol — see
-:meth:`repro.runtime.interpreter.Interpreter._apply_field`), so the
+:meth:`repro.runtime.interpreter.Interpreter._lower_field`), so the
 rendered program documents the access rewrite but is not executable
 stand-alone.
 """

@@ -139,7 +139,7 @@ def _read_leaf(
     Walks the access path statically until (if ever) it crosses an
     indirected field; the pointer cell for such a field sits at the
     field's offset within the *prefix* placement (indirection takes
-    precedence over grouping, matching ``Interpreter._apply_field``),
+    precedence over grouping, matching ``Interpreter._lower_field``),
     and the value lives behind it in a per-process arena.  Purely
     static paths resolve through ``layout.materialize``, which applies
     the group-region and padding placements.
