@@ -35,11 +35,12 @@ refills are the modelled cost of the copy), and the abandoned placement
 simply ages out of the LRU sets.  That simulation is the shared batch
 driver of :mod:`repro.sim.engine` — a protocol core from
 ``_make_core`` fed one phase at a time with
-:func:`~repro.sim.events.build_events` — so MSI machines run on the
-native kernel.  A run with zero repairs is **bit-identical** to the
-plain simulation of the same trace (event compaction never changes a
-simulated result, so compacting each phase on its own is exact), which
-keeps the static-vs-dynamic comparison honest.
+:func:`~repro.sim.events.build_events` — so every machine, MSI or
+MESI, runs on the native kernel.  A run with zero repairs is
+**bit-identical** to the plain simulation of the same trace (event
+compaction never changes a simulated result, so compacting each phase
+on its own is exact), which keeps the static-vs-dynamic comparison
+honest.
 """
 
 from __future__ import annotations
@@ -263,9 +264,7 @@ def mitigate(
     trace = run.trace
     bounds = _phase_bounds(run)
     dyn_block_lo = DYN_BASE // block_size
-    kernel = resolve_kernel(
-        protocol=config.protocol, events=_extent(trace, block_size)
-    )
+    kernel = resolve_kernel(events=_extent(trace, block_size))
     t0 = time.perf_counter()
     core = _make_core(kernel, nprocs, config, False)
     fs_before: dict[int, int] = {}

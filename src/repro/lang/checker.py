@@ -153,7 +153,9 @@ class Checker:
                 raise CheckError(
                     f"parameter {p.name!r} must be scalar or pointer", p.loc
                 )
-            scope.define(Symbol(p.name, p.type, StorageKind.PARAM, p.loc))
+            sym = Symbol(p.name, p.type, StorageKind.PARAM, p.loc)
+            scope.define(sym)
+            self.symtab.decl_symbols[id(p)] = sym
         self._check_stmt(fn.body, scope)
         self._current_func = None
 

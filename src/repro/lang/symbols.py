@@ -75,5 +75,5 @@ class SymbolTable:
     structs: dict[str, CType] = field(default_factory=dict)
     #: For every Ident expression node (by id), the resolved Symbol.
     ident_symbols: dict[int, Symbol] = field(default_factory=dict)
-    #: For every VarDecl statement node (by id), its Symbol.
+    #: For every VarDecl statement and Param node (by id), its Symbol.
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)

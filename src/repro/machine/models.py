@@ -7,9 +7,8 @@ resource-oblivious multicore model of Cole–Ramachandran, 64 B-line MESI
 desktops, multi-socket NUMA parts) need other geometries, so the
 machine description is now a first-class :class:`MachineModel` value
 carried through the simulator (:class:`~repro.sim.cache.CacheConfig`
-grew a ``protocol`` field), the native-kernel pre-check (the C kernel
-is MSI-only; other protocols fall back to the Python core), the
-simulation memo keys, the timing model and the tuner, and manifests.
+grew a ``protocol`` field), the native kernel (which runs MSI and
+MESI alike), the simulation memo keys, the timing model and the tuner, and manifests.
 
 Selection: ``--machine <name>`` on the CLI or the ``REPRO_MACHINE``
 environment variable; :func:`get_machine` resolves a name,

@@ -100,7 +100,6 @@ _PERF_KEYS = (
     "kernel.build",
     "kernel.built",
     "kernel.envelope_fallback",
-    "kernel.protocol_fallback",
     "parallel.points",
 )
 

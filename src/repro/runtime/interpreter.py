@@ -4,7 +4,8 @@ logical processors and emits the memory-reference trace.
 Semantics
 ---------
 
-* globals are shared; locals/params are per-process (private stack);
+* globals are shared; locals/params are per-process (private stack),
+  keyed by declaration, not name, so a block's ``int x`` shadows only there;
 * ``create(f, e)`` spawns a worker; ``wait_for_end()`` joins; workers
   synchronize with ``barrier()`` and ``lock``/``unlock``;
 * scheduling is deterministic round-robin at statement granularity
@@ -94,10 +95,11 @@ def _gen_node(combine, *children):
     return gen
 
 
-def _local_addr(name: str, loc: SourceLocation):
+def _local_addr(sym, loc: SourceLocation):
+    key, name = id(sym), sym.name
     def fn(p, fr):
         try:
-            return fr[name]
+            return fr[key]
         except KeyError:
             raise RuntimeFault(f"unbound local {name!r}", loc) from None
 
@@ -108,7 +110,7 @@ class _Place(NamedTuple):
     """A lowered lvalue.  ``kind`` is "static" (the global ``target``
     reached through ``steps``: ``("field", name)``, ``("idx", n)``, or
     ``("idx", (fn, gen, dim, loc))`` for an index computed at run time),
-    "local" (the local or parameter ``target``) or "raw" (``target`` is
+    "local" (the local or parameter symbol ``target``) or "raw" (``target`` is
     a closure returning the address).  Only a static place is known to
     lie below :data:`PRIVATE_BASE` before it is resolved."""
 
@@ -273,7 +275,7 @@ class Interpreter:
             sym = self.checked.symtab.ident_symbols.get(id(e))
             if sym is not None and sym.is_shared:
                 return _Place("static", e.name, [], sym.type, 1, False)
-            return _Place("local", e.name, [], sym.type, 1, False, e.loc)
+            return _Place("local", sym, [], sym.type, 1, False, e.loc)
         if isinstance(e, A.Index):
             base = self._lower_place(e.base)
             I, wi, gi = self._lower_expr(e.index)
@@ -518,11 +520,11 @@ class Interpreter:
         """(fn, work, gen) loading the scalar at ``place``."""
         mem, dflt = self.mem, _default_for(place.ty)
         if place.kind == "local":
-            name, loc = place.target, place.loc
+            key, name, loc = id(place.target), place.target.name, place.loc
 
             def fn(p, fr):
                 try:
-                    a = fr[name]
+                    a = fr[key]
                 except KeyError:
                     raise RuntimeFault(f"unbound local {name!r}", loc) from None
                 p.private_refs += 1
@@ -731,17 +733,18 @@ class Interpreter:
         return fn
 
     def _lower_function(self, fn: A.FuncDef):
-        params = [(p.name, *self._slot(p.type)) for p in fn.params]
+        decls = self.checked.symtab.decl_symbols
+        params = [(id(decls[id(p)]), *self._slot(p.type)) for p in fn.params]
         body = self._lower_block(fn.body.body, 0)
         mem, is_main, interp = self.mem, fn.name == "main", self
         ret = None if isinstance(fn.ret, T.VoidType) else _default_for(fn.ret)
 
         def call(p, args):
             fr = {}
-            for (name, size, align), value in zip(params, args):
+            for (key, size, align), value in zip(params, args):
                 addr = (p.priv_cursor + align - 1) // align * align
                 p.priv_cursor = addr + size
-                fr[name] = addr
+                fr[key] = addr
                 mem[addr] = value
             sig = yield from body(p, fr)
             if is_main:
@@ -806,14 +809,15 @@ class Interpreter:
         return False, lambda p, fr: finish(p, X(p, fr))
 
     def _lower_vardecl(self, s: A.VarDecl) -> tuple:
-        """Bind the name to a fresh stack slot, then store the value."""
-        name, mem, (size, align) = s.name, self.mem, self._slot(s.type)
+        """Bind the declaration to a fresh stack slot, then store the value."""
+        key = id(self.checked.symtab.decl_symbols[id(s)])
+        mem, (size, align) = self.mem, self._slot(s.type)
         dbl, dflt = isinstance(s.type, T.DoubleType), _default_for(s.type)
 
         def bind(p, fr):
             addr = (p.priv_cursor + align - 1) // align * align
             p.priv_cursor = addr + size
-            fr[name] = addr
+            fr[key] = addr
             return addr
 
         if s.init is None:
@@ -852,13 +856,13 @@ class Interpreter:
                 return True, _gen_node(assign, (V, gv), (B, gp))
             return False, lambda p, fr: assign(p, V(p, fr), B(p, fr))
         if place.kind == "local":
-            name, nloc = place.target, place.loc
+            key, name, nloc = id(place.target), place.target.name, place.loc
 
             def fn(p, fr):
                 p.work += work
                 v = V(p, fr)
                 try:
-                    a = fr[name]
+                    a = fr[key]
                 except KeyError:
                     raise RuntimeFault(f"unbound local {name!r}", nloc) from None
                 if op:

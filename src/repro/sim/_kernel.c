@@ -1,4 +1,4 @@
-/* Native MSI coherence kernel (block-invalidate mode).
+/* Native MSI/MESI coherence kernel (block-invalidate mode).
  *
  * A line-for-line port of the hot loop of repro/sim/coherence.py
  * (`CoherenceSim._access_block` and its helpers) operating directly on
@@ -6,7 +6,10 @@
  * remains the reference semantics; this kernel must stay bit-identical
  * to it (enforced by tests/test_kernel.py and the CI kernel-smoke job).
  *
- * Scope: the paper's write-invalidate protocol only.  The word-
+ * Scope: both write-invalidate protocols the machine models name — the
+ * paper's MSI and, with `mesi` set, MESI (a read miss with no other
+ * valid holder installs E; a write hit on E becomes M silently; a
+ * remote read miss demotes E to S without a writeback).  The word-
  * granularity invalidation variant (Dubois et al.) always runs on the
  * Python core — it is a section-6 comparison point, not a hot path.
  *
@@ -39,6 +42,7 @@
 #define K_INVALID 0
 #define K_SHARED 1
 #define K_MODIFIED 2
+#define K_EXCLUSIVE 3 /* MESI only; same value as sim/cache.py */
 
 #define KIND_COLD 0
 #define KIND_REPLACE 1
@@ -173,6 +177,7 @@ typedef struct {
     int64_t invalidations;
     int64_t writebacks;
     int64_t upgrades;
+    int mesi; /* 1: MESI (Exclusive state), 0: MSI */
     Map blocks; /* block -> v0 sharers, v1 ever, v2 miss, v3 fs */
     Map lost;   /* (block,proc) -> v0 cause, v1 time, v2 by */
     Map wlog;   /* word -> v0 writer, v1 time */
@@ -375,7 +380,9 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
             return;
         new_state = K_MODIFIED;
     } else {
-        /* demote a remote MODIFIED copy to SHARED (writeback) */
+        /* demote a remote MODIFIED copy to SHARED (writeback); under
+         * MESI a remote EXCLUSIVE copy also demotes, but clean */
+        int others_valid = 0;
         uint64_t holders = (uint64_t)bv->v0;
         while (holders) {
             int b = __builtin_ctzll(holders);
@@ -384,13 +391,19 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
             if (!oc)
                 continue;
             int64_t i = cache_find(s, oc, block);
-            if (i >= 0 && oc->statev[i] == K_MODIFIED) {
+            if (i < 0)
+                continue;
+            others_valid = 1;
+            int st = oc->statev[i];
+            if (st == K_MODIFIED || st == K_EXCLUSIVE) {
                 oc->statev[i] = K_SHARED;
                 oc->stampv[i] = ++oc->counter; /* set_state re-inserts MRU */
-                s->writebacks++;
+                if (st == K_MODIFIED)
+                    s->writebacks++;
             }
         }
-        new_state = K_SHARED;
+        /* MESI: a read miss with no other valid holder installs E */
+        new_state = s->mesi && !others_valid ? K_EXCLUSIVE : K_SHARED;
     }
     int64_t vblock = 0;
     int vstate = 0;
@@ -417,13 +430,14 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
 /* Public API (ctypes)                                               */
 /* ---------------------------------------------------------------- */
 
-Sim *sim_new(int64_t n_sets, int64_t assoc)
+Sim *sim_new(int64_t n_sets, int64_t assoc, int mesi)
 {
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     if (!s)
         return NULL;
     s->n_sets = n_sets;
     s->assoc = assoc;
+    s->mesi = mesi;
     if (map_init(&s->blocks, 1024) || map_init(&s->lost, 1024) ||
         map_init(&s->wlog, 4096) || map_init(&s->pairs, 256)) {
         map_free(&s->blocks);
@@ -482,11 +496,15 @@ int sim_run(Sim *s, int64_t n, const int64_t *proc, const int64_t *block,
             do_miss(s, c, p, b, w_lo[i], w_hi[i], wr);
         } else {
             c->stampv[idx] = ++c->counter; /* touch: MRU */
-            if (wr && c->statev[idx] == K_SHARED) {
-                invalidate_others(s, p, b);
+            if (wr && c->statev[idx] != K_MODIFIED) {
+                /* S upgrades with an invalidation broadcast; E (MESI)
+                 * has no other holder, so it becomes M silently */
+                if (c->statev[idx] == K_SHARED) {
+                    invalidate_others(s, p, b);
+                    s->upgrades++;
+                }
                 c->statev[idx] = K_MODIFIED;
                 c->stampv[idx] = ++c->counter;
-                s->upgrades++;
             }
         }
         if (wr) {

@@ -19,8 +19,8 @@ Protocol core (kernel) — ``REPRO_SIM_KERNEL``
     * ``python``: always the :class:`~repro.sim.coherence.CoherenceSim`
       reference core.
 
-The kernel only applies to block-invalidate MSI simulation;
-``word_invalidate=True`` and MESI machines always run the Python core.
+The kernel runs every block-invalidate simulation, MSI and MESI alike;
+``word_invalidate=True`` always runs the Python core.
 The per-reference :func:`repro.sim.coherence.simulate_trace` loop stays
 as the oracle the fast path is checked against
 (``cached_simulate(engine="reference")``).
@@ -33,7 +33,6 @@ kernel) on top of this.
 
 from __future__ import annotations
 
-import logging
 import time as _time
 
 from repro import perf
@@ -50,8 +49,6 @@ from repro.sim.kernel import (
     kernel_mode,
 )
 from repro.sim.events import EventStream, build_events
-
-log = logging.getLogger("repro.sim.engine")
 
 FAST = "fast"
 REFERENCE = "reference"
@@ -101,36 +98,19 @@ def resolve_kernel(
     word_invalidate: bool = False,
     events: EventStream | None = None,
     kernel: str | None = None,
-    protocol: str = "msi",
 ) -> str:
     """Pick the protocol core for one simulation.
 
     ``word_invalidate`` always runs on the Python core (the per-word
     state machine is a cold comparison path, out of the C kernel's
-    scope).  The C kernel implements the paper's MSI protocol only, so
-    a non-MSI ``protocol`` likewise needs the Python core: ``auto``
-    mode logs the fallback reason, while ``REPRO_SIM_KERNEL=native``
-    raises (silently simulating the wrong protocol would poison every
-    downstream miss count).  With the full event stream in hand the
-    kernel envelope is pre-checked; an ineligible stream falls back to
-    Python in ``auto`` mode and raises under ``native``.
+    scope); every block-invalidate simulation, MSI or MESI, can run
+    natively.  With the full event stream in hand the kernel envelope
+    is pre-checked; an ineligible stream falls back to Python in
+    ``auto`` mode and raises under ``native``.
     """
     if word_invalidate:
         return PYTHON
     resolved = kernel or active_kernel()
-    if resolved == NATIVE and protocol != "msi":
-        if kernel == NATIVE or kernel_mode() == NATIVE:
-            raise SimulationError(
-                f"the native kernel implements the MSI protocol only "
-                f"(machine protocol is {protocol!r}) and "
-                f"REPRO_SIM_KERNEL=native forbids the Python fallback"
-            )
-        log.info(
-            "native kernel skipped: protocol %r needs the Python core "
-            "(the C kernel is MSI-only)", protocol,
-        )
-        perf.add("kernel.protocol_fallback")
-        return PYTHON
     if resolved == NATIVE and events is not None and not chunk_fits(
         events.proc, events.block
     ):
@@ -191,7 +171,6 @@ def simulate_events(
     t0 = _time.perf_counter()
     resolved = resolve_kernel(
         word_invalidate=word_invalidate, events=events, kernel=kernel,
-        protocol=config.protocol,
     )
     with perf.timer(f"sim.kernel.{resolved}"):
         core = _make_core(resolved, nprocs, config, word_invalidate)

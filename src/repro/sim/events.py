@@ -8,11 +8,12 @@ producing a columnar :class:`EventStream` of pre-split
 ``(proc, block, word_lo, word_hi, is_write)`` events the coherence
 protocol can consume directly.
 
-On top of the split, consecutive events that provably cannot change MSI
-state, the LRU order, or the per-word write log are run-length
-compacted: each kept event carries a ``repeat`` count that advances the
-simulator's reference counter and logical clock by the full run, so the
-simulation output stays **bit-identical** to the reference path.
+On top of the split, consecutive events that provably cannot change the
+coherence state (MSI or MESI), the LRU order, or the per-word write log
+are run-length compacted: each kept event carries a ``repeat`` count
+that advances the simulator's reference counter and logical clock by
+the full run, so the simulation output stays **bit-identical** to the
+reference path.
 
 Compaction rules
 ----------------

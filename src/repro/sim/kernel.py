@@ -20,6 +20,10 @@ Selection — ``REPRO_SIM_KERNEL``:
     Never compile or load the kernel (the reference fallback, and the
     CI leg that keeps it from rotting).
 
+Both protocols :class:`~repro.sim.cache.CacheConfig` names run here:
+MSI, and MESI when ``config.protocol == "mesi"`` (the ``mesi`` flag of
+``sim_new``).
+
 Envelope (checked per chunk, cheap vectorized ``min``/``max``):
 
 * block-invalidate mode only — ``word_invalidate=True`` always runs on
@@ -196,7 +200,7 @@ def load_kernel() -> ctypes.CDLL | None:
             pass
         return None
     lib.sim_new.restype = ctypes.c_void_p
-    lib.sim_new.argtypes = [ctypes.c_int64, ctypes.c_int64]
+    lib.sim_new.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int]
     lib.sim_free.restype = None
     lib.sim_free.argtypes = [ctypes.c_void_p]
     lib.sim_run.restype = ctypes.c_int
@@ -259,7 +263,9 @@ class NativeSim:
         self._lib = lib
         self.nprocs = nprocs
         self.config = config
-        self._handle = lib.sim_new(config.n_sets, config.assoc)
+        self._handle = lib.sim_new(
+            config.n_sets, config.assoc, int(config.protocol == "mesi")
+        )
         if not self._handle:
             raise SimulationError("native kernel allocation failed")
 

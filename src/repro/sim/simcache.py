@@ -95,8 +95,7 @@ def cached_simulate(
         resolved_kernel = "python"
     else:
         resolved_kernel = resolve_kernel(
-            word_invalidate=word_invalidate, kernel=kernel,
-            protocol=config.protocol,
+            word_invalidate=word_invalidate, kernel=kernel
         )
     key = (
         trace.fingerprint, nprocs, config.size, config.block_size,

@@ -19,16 +19,14 @@ from repro.dynamic import (
     mitigate,
 )
 from repro import perf
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError
 from repro.lang import compile_source
 from repro.layout import DataLayout
-from repro.machine import get_machine
 from repro.runtime import run_program, trace_cache
 from repro.runtime.stealing import RR, SchedConfig
 from repro.runtime.trace import Trace
-from repro.sim import build_events, simulate_run
+from repro.sim import simulate_run
 from repro.sim import kernel as K
-from repro.sim.engine import simulate_events
 from repro.verify.oracle import diff_states, observe
 
 NPROCS = 4
@@ -358,18 +356,23 @@ class TestSharedCore:
         assert self.run(hot).result.kernel == "native"
 
     @needs_native
-    def test_forced_native_rejects_mesi_like_simulate_events(
-        self, hot, kernel_mode
-    ):
+    def test_forced_native_mesi_matches_python(self, hot, kernel_mode):
+        kernel_mode("python")
+        want = self.run(hot, machine="modern64")
         kernel_mode("native")
-        run = hot[2]
-        config = get_machine("modern64").cache_config(64)
-        with pytest.raises(SimulationError) as batch:
-            simulate_events(build_events(run.trace, 64), NPROCS, config)
-        with pytest.raises(SimulationError) as dyn:
-            self.run(hot, machine="modern64")
-        assert str(dyn.value) == str(batch.value)
-        assert "\n" not in str(dyn.value)
+        got = self.run(hot, machine="modern64")
+        assert got.result.kernel == "native"
+        assert got.result.config.protocol == "mesi"
+        assert got.repairs, "the comparison should cover a repaired run"
+        assert got.phases == want.phases
+        assert got.repairs == want.repairs
+        assert got.counters() == want.counters()
+        g, w = got.result, want.result
+        assert g.misses.as_tuple() == w.misses.as_tuple()
+        assert (g.invalidations, g.writebacks, g.upgrades, g.refs) == (
+            w.invalidations, w.writebacks, w.upgrades, w.refs,
+        )
+        assert g.fs_pair_by_block == w.fs_pair_by_block
 
     @needs_native
     def test_out_of_envelope_run_falls_back_under_auto(

@@ -104,6 +104,24 @@ class TestControlFlow:
         )
         assert r.output == ["55"]
 
+    def test_block_scoped_declaration_shadows_only_its_block(self):
+        r = run_main(
+            "int x; x = 1;\n"
+            "{ int x; x = 5; print(x); }\n"
+            "print(x); return 0;"
+        )
+        assert r.output == ["5", "1"]
+
+    def test_block_scoped_declaration_shadows_a_parameter(self):
+        r = run(
+            "int f(int n)\n{\n"
+            "    int i;\n"
+            "    for (i = 0; i < 2; i++) { int n; n = 7; }\n"
+            "    return n;\n}\n"
+            "int main() { print(f(3)); return 0; }"
+        )
+        assert r.output == ["3"]
+
 
 class TestMemory:
     def test_globals_and_structs(self):

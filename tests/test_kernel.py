@@ -1,5 +1,6 @@
-"""Native protocol kernel: bit-identity with the Python reference core,
-selection/fallback semantics, and the simcache keying regression.
+"""Native protocol kernel: bit-identity with the Python reference core
+(MSI and MESI), selection/fallback semantics, and the simcache keying
+regression.
 
 The native kernel is an *optimisation*, never a semantic fork: every
 miss count, per-processor split, per-block histogram, and
@@ -18,6 +19,7 @@ from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, build_events, simulate_trace
 from repro.sim import kernel as K
 from repro.sim import simcache
+from repro.sim.cache import Cache
 from repro.sim.engine import (
     resolve_kernel,
     simulate_events,
@@ -78,13 +80,65 @@ def test_native_matches_reference_random(events, block):
 
 
 @needs_native
+@settings(max_examples=150, deadline=None)
+@given(events=events_strategy, block=st.sampled_from([8, 16, 32]))
+def test_native_matches_reference_random_mesi(events, block):
+    """MESI at assoc 2: a set holds two blocks, so the LRU bump of an
+    E->S demotion can change the victim (assoc 1 cannot see it)."""
+    trace = make_trace(events)
+    cfg = CacheConfig(
+        size=4 * block, block_size=block, assoc=2, protocol="mesi"
+    )
+    ref = simulate_trace(trace, 4, cfg)
+    native = simulate_trace_fast(trace, 4, cfg, kernel="native")
+    assert native.kernel == "native"
+    assert_same_result(native, ref)
+
+
+#: Three procs and six 16 B blocks in one two-way set, mostly reads: the
+#: E->S demotion's LRU bump decides a victim often enough that a core
+#: without it fails within a few hundred examples.
+conflict_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=-1, max_value=2),
+        st.integers(min_value=0, max_value=95),
+        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 16]),
+        st.sampled_from([False, False, True]),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+@needs_native
+@settings(max_examples=300, deadline=None)
+@given(events=conflict_strategy)
+def test_native_matches_reference_set_conflicts_mesi(events):
+    trace = make_trace(events)
+    cfg = CacheConfig(size=32, block_size=16, assoc=2, protocol="mesi")
+    ref = simulate_trace(trace, 4, cfg)
+    assert_same_result(simulate_trace_fast(trace, 4, cfg, kernel="native"), ref)
+
+
+#: (protocol, block size) cases; the MSI ids predate the MESI cases.
+WORKLOAD_CASES = [
+    pytest.param("msi", 16, id="16"),
+    pytest.param("msi", 128, id="128"),
+    pytest.param("mesi", 16, id="mesi-16"),
+    pytest.param("mesi", 64, id="mesi-64"),
+]
+
+
+@needs_native
 @pytest.mark.parametrize(
     "wl", SIMULATION_WORKLOADS, ids=[w.name for w in SIMULATION_WORKLOADS]
 )
-@pytest.mark.parametrize("block_size", [16, 128])
-def test_native_workload_equivalence(wl, block_size, workload_run):
+@pytest.mark.parametrize("protocol,block_size", WORKLOAD_CASES)
+def test_native_workload_equivalence(wl, protocol, block_size, workload_run):
     run = workload_run(wl)
-    cfg = CacheConfig(size=32 * 1024, block_size=block_size, assoc=4)
+    cfg = CacheConfig(
+        size=32 * 1024, block_size=block_size, assoc=4, protocol=protocol
+    )
     extra = sum(run.private_refs.values())
     ref = simulate_trace(run.trace, run.nprocs, cfg, extra_refs=extra)
     native = simulate_trace_fast(
@@ -94,8 +148,7 @@ def test_native_workload_equivalence(wl, block_size, workload_run):
     assert_same_result(native, ref)
 
 
-@needs_native
-def test_native_state_carries_over_chunks():
+def _chunked_equals_whole(protocol):
     """One NativeSim fed in pieces equals one fed whole."""
     rng = np.random.default_rng(7)
     n = 5000
@@ -105,7 +158,7 @@ def test_native_state_carries_over_chunks():
         size=np.full(n, 4, np.int32),
         is_write=(rng.random(n) < 0.4),
     )
-    cfg = CacheConfig(size=1024, block_size=32, assoc=2)
+    cfg = CacheConfig(size=1024, block_size=32, assoc=2, protocol=protocol)
     events = build_events(trace, 32)
     whole = K.NativeSim(4, cfg)
     whole.consume(events)
@@ -117,6 +170,69 @@ def test_native_state_carries_over_chunks():
     assert_same_result(a, b)
     whole.close()
     piecewise.close()
+    return a
+
+
+@needs_native
+def test_native_state_carries_over_chunks():
+    _chunked_equals_whole("msi")
+
+
+@needs_native
+def test_native_state_carries_over_chunks_mesi():
+    res = _chunked_equals_whole("mesi")
+    assert res.kernel == "native" and res.config.protocol == "mesi"
+
+
+# ---------------------------------------------------------------------------
+# MESI: the E->S demotion re-inserts the holder's copy as MRU
+# ---------------------------------------------------------------------------
+
+#: One set of two ways at 16 B (blocks 0, 1, 2 = A, B, C).  Proc 0 reads
+#: A then B, both into E; proc 1's read of A demotes proc 0's A to S,
+#: which re-inserts it as MRU, so proc 0's read of C evicts B and its
+#: second read of A hits.  Without the re-insertion A is the LRU way:
+#: C evicts it and the last read is a replacement miss.
+DEMOTION_TRACE = [
+    (0, 0, 4, False),   # A -> E
+    (0, 16, 4, False),  # B -> E
+    (1, 0, 4, False),   # A: proc 0's E copy demotes to S (MRU)
+    (0, 32, 4, False),  # C: evicts B, the LRU way
+    (0, 0, 4, False),   # A: hit
+]
+DEMOTION_CFG = CacheConfig(size=32, block_size=16, assoc=2, protocol="mesi")
+
+
+def _demotion_result(kernel):
+    return simulate_trace_fast(
+        make_trace(DEMOTION_TRACE), 2, DEMOTION_CFG, kernel=kernel
+    )
+
+
+def test_mesi_demotion_reinserts_mru():
+    res = _demotion_result("python")
+    assert res.per_proc[0].as_tuple() == (3, 0, 0, 0)
+    assert res.misses.replace == 0
+    if HAVE_NATIVE:
+        assert_same_result(_demotion_result("native"), res)
+    # under MSI proc 0's A stays S and in place, so C evicts it
+    msi = simulate_trace(
+        make_trace(DEMOTION_TRACE), 2,
+        CacheConfig(size=32, block_size=16, assoc=2, protocol="msi"),
+    )
+    assert msi.per_proc[0].as_tuple() == (3, 1, 0, 0)
+
+
+def test_mesi_demotion_trace_sees_a_missing_reinsertion(monkeypatch):
+    """A reference core whose ``set_state`` keeps the LRU position
+    evicts A instead of B, so the trace above tells the two apart."""
+
+    def set_state_in_place(self, block, state):
+        self._set_of(block)[block] = state
+
+    monkeypatch.setattr(Cache, "set_state", set_state_in_place)
+    res = _demotion_result("python")
+    assert res.per_proc[0].as_tuple() == (3, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Machine-model registry and protocol plumbing tests: the MESI
-protocol core, the geometry registry, the native-kernel protocol
-pre-check, and the simulation memo's protocol key."""
+protocol core, the geometry registry, native-kernel selection on every
+machine, and the simulation memo's protocol key."""
 
 from __future__ import annotations
 
@@ -84,8 +84,10 @@ class TestMesi:
         assert r.upgrades == 1
 
     def test_miss_classification_protocol_invariant(self):
-        # E only changes which transitions cost bus transactions; the
-        # cold/replace/true/false breakdown is identical
+        # E only changes which transitions cost bus transactions; with
+        # no E->S demotion ahead of an eviction (the one way MESI moves
+        # an LRU victim) the cold/replace/true/false breakdown is
+        # identical
         events = []
         for i in range(6):
             events.append((0, 0, 4, True))
@@ -190,39 +192,80 @@ class TestSimulateRunMachine:
 
 
 # ---------------------------------------------------------------------------
-# Native-kernel protocol pre-check
+# Kernel selection is protocol-blind
 # ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    load_kernel() is None,
+    reason="native kernel unavailable (no compiler?)",
+)
+
+
+def _sharing_trace(n=3000, seed=5):
+    rng = np.random.default_rng(seed)
+    return Trace(
+        proc=rng.integers(-1, 4, n).astype(np.int32),
+        addr=(rng.integers(0, 4096, n) * 4).astype(np.int64),
+        size=np.full(n, 4, np.int32),
+        is_write=(rng.random(n) < 0.3),
+    )
+
+
+def _observed(res):
+    return (
+        res.misses.as_tuple(), dict(res.per_proc), res.refs,
+        res.invalidations, res.writebacks, res.upgrades,
+        res.fs_by_block, res.miss_by_block, res.fs_pair_by_block,
+    )
 
 
 class TestKernelProtocolGate:
-    def test_forced_native_non_msi_raises(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        with pytest.raises(SimulationError) as e:
-            resolve_kernel(kernel=NATIVE, protocol="mesi")
-        assert "MSI" in str(e.value)
+    """The protocol no longer gates the kernel: every machine, MSI or
+    MESI, resolves to the native core, matches the Python core counter
+    by counter, and nothing counts a fallback."""
 
-    def test_env_native_non_msi_raises(self, monkeypatch):
+    @staticmethod
+    def check_every_machine(kernel=None):
+        from repro.sim.engine import simulate_events
+        from repro.sim.events import build_events
+
+        events = build_events(_sharing_trace(), 64)
+        for name in MACHINES:
+            cfg = get_machine(name).cache_config(64)
+            got = simulate_events(events, 4, cfg, kernel=kernel)
+            want = simulate_events(events, 4, cfg, kernel=PYTHON)
+            assert got.kernel == NATIVE, name
+            assert _observed(got) == _observed(want), name
+
+    @needs_native
+    def test_forced_native_runs_every_machine(self, monkeypatch):
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        assert resolve_kernel(kernel=NATIVE) == NATIVE
+        self.check_every_machine(kernel=NATIVE)
+
+    @needs_native
+    def test_env_native_runs_every_machine(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "native")
-        with pytest.raises(SimulationError):
-            resolve_kernel(protocol="mesi")
+        assert resolve_kernel() == NATIVE
+        self.check_every_machine()
 
     def test_native_msi_unaffected(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        # protocol="msi" never triggers the gate, whatever the resolution
-        assert resolve_kernel(protocol="msi") in (NATIVE, PYTHON)
+        assert resolve_kernel() in (NATIVE, PYTHON)
 
-    @pytest.mark.skipif(
-        load_kernel() is None,
-        reason="native kernel unavailable (no compiler?)",
-    )
-    def test_auto_falls_back_to_python(self, monkeypatch):
+    @needs_native
+    def test_auto_runs_every_machine_natively(self, monkeypatch):
         from repro import perf
 
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        before = perf.snapshot().get("kernel.protocol_fallback", 0)
-        assert resolve_kernel(protocol="mesi") == PYTHON
-        after = perf.snapshot().get("kernel.protocol_fallback", 0)
-        assert after == before + 1
+        before = perf.snapshot()
+        assert resolve_kernel() == NATIVE
+        self.check_every_machine()
+        after = perf.snapshot()
+        assert "kernel.protocol_fallback" not in after
+        assert after.get("kernel.envelope_fallback", 0) == before.get(
+            "kernel.envelope_fallback", 0
+        )
 
 
 # ---------------------------------------------------------------------------
