@@ -55,10 +55,10 @@ from repro import perf
 from repro.analysis import analyze_program
 from repro.analysis.summary import ProgramAnalysis
 from repro.dynamic.overlay import DYN_BASE, AddressOverlay
-from repro.layout.datalayout import DataLayout, _unflatten
+from repro.layout.datalayout import DataLayout
 from repro.layout.regions import build_region_map
 from repro.machine.models import resolve_machine
-from repro.rsd.ops import owner_of
+from repro.rsd.ops import owner_table
 from repro.runtime.trace import RunResult, Trace
 from repro.sim.coherence import SimResult
 from repro.sim.engine import _export_core_counters, _make_core, resolve_kernel
@@ -141,7 +141,7 @@ def _candidate_actions(
             continue
         if target.base not in layout.globals:
             continue
-        if target.base in layout._grouped_paths:
+        if target.base in layout.members:
             continue
         acts = [
             a
@@ -178,25 +178,19 @@ def _apply(
     """Realize one static action as an overlay relocation; returns the
     relocation kind actually used."""
     ginfo = layout.globals[name]
-    ty = ginfo.type
-    dims = getattr(ty, "dims", None)
-    if dims is None:
+    if not ginfo.strides:
         # scalars: grouping and padding both come down to "move it off
         # everyone else's line"
         overlay.pad_whole(name, ginfo.base, ginfo.size)
         return "pad_align"
-    nelems = ty.nelems
-    stride = ginfo.elem_stride or layout.sizeof(ty.elem)
+    nelems, stride = ginfo.type.nelems, ginfo.strides[-1]
     if action.kind == "pad_align" and any(p.per_element for p in action.pads):
         overlay.pad_elements(name, ginfo.base, nelems, stride)
         return "split"
     if action.kind == "group_transpose" and action.group:
         m = action.group[0]
         if m.partition is not None:
-            owners = [
-                owner_of(m.partition, _unflatten(i, tuple(dims)), nprocs)
-                for i in range(nelems)
-            ]
+            owners = owner_table(m.partition, ginfo.type.dims, nprocs)
         else:
             owners = [m.owner] * nelems
         overlay.group_by_owner(

@@ -20,6 +20,11 @@ A :class:`~repro.transform.plan.TransformPlan` changes the mapping:
 * **indirection** re-types the record field to a pointer and reserves
   per-process arenas the runtime installs slots in (Figure 2b).
 
+Each layout places every global once, as an affine map
+(:class:`GlobalInfo`) or, for a group member, a flat index → address
+table (:class:`Member`); every static address, inverse lookup and
+region-map segment is read from those placements.
+
 Address-space map (sparse; nothing is actually this big)::
 
     0x0001_0000  globals (natural or padded)
@@ -32,13 +37,14 @@ Address-space map (sparse; nothing is actually this big)::
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from operator import mul
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from repro.errors import TransformError
 from repro.lang import ctypes as T
 from repro.lang.checker import CheckedProgram
-from repro.rsd.ops import owner_of
+from repro.rsd.ops import owner_table
 from repro.transform.plan import TransformPlan
 
 GLOBALS_BASE = 0x0001_0000
@@ -63,7 +69,8 @@ def _verify_break() -> str:
     return os.environ.get("REPRO_VERIFY_BREAK", "").strip()
 
 
-#: A concrete access step: ("idx", i) or ("field", name).
+#: An access step: ("idx", i) or ("field", name).  An index whose value
+#: is not an int is *open*: :meth:`DataLayout.lower` leaves it to run time.
 Step = tuple[str, object]
 
 #: Logical coordinates of one shared byte (see :meth:`DataLayout.locate`):
@@ -80,12 +87,57 @@ HeapObject = tuple[int, int, T.CType]
 
 @dataclass(slots=True)
 class GlobalInfo:
+    """A global's own placement — natural, padded or lock-padded — as an
+    affine map: element ``(i0, i1, ...)`` of an array lives at
+    ``base + Σ iₖ·strides[k]``."""
+
     name: str
     type: T.CType
     base: int
+    #: bytes reserved (padding included)
     size: int
-    #: element stride override for per-element padded arrays
-    elem_stride: Optional[int] = None
+    #: byte stride of each array dimension (a per-element pad's stride
+    #: included); empty for a scalar or struct
+    strides: tuple[int, ...] = ()
+
+
+@dataclass(slots=True)
+class Member:
+    """A group & transpose member's placement: the address of each of
+    its elements, by row-major flat index."""
+
+    base: str
+    #: field path from the global's element to the member
+    path: tuple[str, ...]
+    type: T.CType
+    size: int
+    table: list[int]
+
+    @property
+    def label(self) -> str:
+        return self.base + "".join(f".{p}" for p in self.path)
+
+
+class PathMap(NamedTuple):
+    """A static access path lowered onto its placement.  With ``js`` the
+    values of its open indices in path order, the address is ``const``
+    plus the last ``len(strides)`` of them times ``strides``; for a
+    group member, plus ``table[flat + Σ js·flat_strides]`` over the
+    first ``len(flat_strides)``."""
+
+    ty: T.CType
+    const: int
+    strides: tuple[int, ...]
+    table: Optional[list[int]] = None
+    flat: int = 0
+    flat_strides: tuple[int, ...] = ()
+
+    def at(self, js: Sequence[int] = ()) -> int:
+        nflat = len(self.flat_strides)
+        addr = self.const + sum(map(mul, js[nflat:], self.strides))
+        if self.table is not None:
+            addr += self.table[self.flat + sum(map(mul, js, self.flat_strides))]
+        return addr
 
 
 class DataLayout:
@@ -109,14 +161,15 @@ class DataLayout:
         self.indirected: frozenset[tuple[str, str]] = frozenset(
             (i.struct, i.field) for i in self.plan.indirections
         )
+        #: each global's own placement (a grouped member's natural slot
+        #: stays reserved, vacated)
         self.globals: dict[str, GlobalInfo] = {}
-        #: (base, path) -> {flat_index: addr} for group members
-        self._group_addr: dict[tuple[str, tuple[str, ...]], dict[int, int]] = {}
-        self._grouped_paths: dict[str, set[tuple[str, ...]]] = {}
+        #: group & transpose placements: global -> member field path -> member
+        self.members: dict[str, dict[tuple[str, ...], Member]] = {}
         self.group_region_size = 0
         #: sorted indexes behind :meth:`locate`, built on first use
         self._locate_globals: Optional[tuple[list[int], list[GlobalInfo]]] = None
-        self._locate_group: Optional[tuple[list[int], list[tuple]]] = None
+        self._locate_group: Optional[tuple[list[int], list[tuple[Member, int]]]] = None
         self._build_structs()
         self._build_globals()
         self._build_group_region()
@@ -200,18 +253,6 @@ class DataLayout:
 
     # -- global placement --------------------------------------------------------------
 
-    def _pad_for(self, name: str):
-        for p in self.plan.pads:
-            if p.base == name:
-                return p
-        return None
-
-    def _lock_pad_for(self, name: str):
-        for lp in self.plan.lock_pads:
-            if lp.base == name:
-                return lp
-        return None
-
     def _build_globals(self) -> None:
         bs = self.block_size
         # Test-only fault injection: REPRO_VERIFY_BREAK=pad_align
@@ -220,19 +261,22 @@ class DataLayout:
         # (repro.verify) must catch the resulting corruption; nothing
         # else may ever set this.
         broken_pad = _verify_break() == "pad_align"
+        pads = {p.base: p for p in reversed(self.plan.pads)}
+        lockpads = {lp.base for lp in self.plan.lock_pads}
         cursor = GLOBALS_BASE
         for g in self.checked.program.globals:
             ty = g.type
-            pad = self._pad_for(g.name)
-            lockpad = self._lock_pad_for(g.name)
-            elem_stride: Optional[int] = None
-            if pad is not None or lockpad is not None:
+            pad = pads.get(g.name)
+            lockpad = g.name in lockpads
+            # an array element's stride: its size, or its padded size
+            estride = self.sizeof(ty.elem if isinstance(ty, T.ArrayType) else ty)
+            if pad is not None or lockpad:
                 cursor = _round_up(cursor, bs)
                 if isinstance(ty, T.ArrayType) and (
-                    lockpad is not None or (pad is not None and pad.per_element)
+                    lockpad or (pad is not None and pad.per_element)
                 ):
-                    elem_stride = _round_up(self.sizeof(ty.elem), bs)
-                    size = ty.nelems * elem_stride
+                    estride = _round_up(estride, bs)
+                    size = ty.nelems * estride
                 else:
                     size = _round_up(self.sizeof(ty), bs)
                 if broken_pad:
@@ -241,69 +285,55 @@ class DataLayout:
                 align = self.alignof(ty)
                 cursor = _round_up(cursor, align)
                 size = self.sizeof(ty)
-            self.globals[g.name] = GlobalInfo(g.name, ty, cursor, size, elem_stride)
+            strides = tuple(span * estride for span in _spans(ty))
+            self.globals[g.name] = GlobalInfo(g.name, ty, cursor, size, strides)
             cursor = cursor + size
-        self.globals_end = cursor
 
     # -- group & transpose region ---------------------------------------------------------
 
     def _build_group_region(self) -> None:
-        members = self.plan.group
-        if not members:
-            return
+        """Place every group member's elements: each process's elements,
+        member by member, in its own block-padded segment; elements no
+        process owns after the last segment."""
         bs = self.block_size
-        per_owner: dict[int, list[tuple[object, int, int]]] = {
-            p: [] for p in range(self.nprocs)
-        }
-        leftover: list[tuple[object, int, int]] = []
-        member_keys: list[tuple[str, tuple[str, ...]]] = []
-        for m in members:
-            key = (m.base, m.path)
-            member_keys.append(key)
-            self._grouped_paths.setdefault(m.base, set()).add(m.path)
+        per_owner: list[list[tuple[Member, int]]] = [[] for _ in range(self.nprocs)]
+        leftover: list[tuple[Member, int]] = []
+        for m in self.plan.group:
             ginfo = self.globals.get(m.base)
             if ginfo is None:
                 raise TransformError(f"group member {m.base!r} is not a global")
-            esize = self._member_elem_size(m.base, m.path)
-            if isinstance(ginfo.type, T.ArrayType):
-                dims = ginfo.type.dims
-                for flat in range(ginfo.type.nelems):
-                    coords = _unflatten(flat, dims)
-                    owner: Optional[int]
-                    if m.partition is not None:
-                        owner = owner_of(m.partition, coords, self.nprocs)
-                    else:
-                        owner = m.owner
-                    entry = (key, flat, esize)
-                    if owner is None:
-                        leftover.append(entry)
-                    else:
-                        per_owner[owner].append(entry)
+            gty = ginfo.type
+            paths = self.members.setdefault(m.base, {})
+            member = paths.get(m.path)
+            if member is None:
+                elem = gty.elem if isinstance(gty, T.ArrayType) else gty
+                _, mty = self.walk(0, elem, [("field", f) for f in m.path])
+                n = gty.nelems if isinstance(gty, T.ArrayType) else 1
+                member = paths[m.path] = Member(
+                    m.base, m.path, mty, self.sizeof(mty), [0] * n
+                )
+            if not isinstance(gty, T.ArrayType):
+                owners = [m.owner if m.owner is not None else 0]
+            elif m.partition is not None:
+                owners = owner_table(m.partition, gty.dims, self.nprocs)
             else:
-                owner = m.owner if m.owner is not None else 0
-                per_owner[owner].append((key, 0, esize))
+                owners = [m.owner] * gty.nelems
+            for flat, owner in enumerate(owners):
+                (leftover if owner is None else per_owner[owner]).append((member, flat))
         cursor = GROUP_BASE
-        for p in range(self.nprocs):
-            for key, flat, esize in per_owner[p]:
-                cursor = _round_up(cursor, min(esize, 8) or 1)
-                self._group_addr.setdefault(key, {})[flat] = cursor
-                cursor += esize
-            cursor = _round_up(cursor, bs)
-        for key, flat, esize in leftover:
-            cursor = _round_up(cursor, min(esize, 8) or 1)
-            self._group_addr.setdefault(key, {})[flat] = cursor
-            cursor += esize
+        for p, entries in enumerate([*per_owner, leftover]):
+            for member, flat in entries:
+                cursor = _round_up(cursor, min(member.size, 8) or 1)
+                member.table[flat] = cursor
+                cursor += member.size
+            if p < self.nprocs:
+                cursor = _round_up(cursor, bs)
         self.group_region_size = cursor - GROUP_BASE
 
-    def _member_elem_size(self, base: str, path: tuple[str, ...]) -> int:
-        ty = self.globals[base].type
-        if isinstance(ty, T.ArrayType):
-            ty = ty.elem
-        for comp in path:
-            if not isinstance(ty, T.StructType):  # pragma: no cover - plan bug
-                raise TransformError(f"bad group member path {base}.{path}")
-            ty = self.field_of(ty.name, comp).type
-        return self.sizeof(ty)
+    def group_members(self) -> Iterator[Member]:
+        """Every group & transpose placement."""
+        for paths in self.members.values():
+            yield from paths.values()
 
     # -- address resolution ------------------------------------------------------------------
 
@@ -329,80 +359,71 @@ class DataLayout:
         idx = ordered.index((struct_name, field_name))
         return self.arena_base(pid) + idx * self.ARENA_SUBREGION
 
-    def global_info(self, name: str) -> GlobalInfo:
-        return self.globals[name]
-
-    def materialize(self, base: str, steps: list[Step]) -> tuple[int, T.CType]:
-        """Compute the address and type reached from global ``base``
-        through concrete access ``steps``.
+    def materialize(self, base: str, steps: Sequence[Step]) -> tuple[int, T.CType]:
+        """The address and type reached from global ``base`` through
+        concrete access ``steps``.
 
         Pointer hops never appear here — the interpreter follows raw
         pointer values itself; this resolves purely static paths
         (which is where group/pad/lock layouts live).
         """
+        m = self.lower(base, steps)
+        return m.at(), m.ty
+
+    def lower(self, base: str, steps: Sequence[Step]) -> PathMap:
+        """Lower the static path ``steps`` from global ``base`` onto its
+        placement; each open index step becomes one stride of the
+        result.
+
+        A full index into a grouped global followed by the longest field
+        path that names one of its members resolves through that
+        member's table; anything else — a partial index, a field no
+        member covers — through the global's own affine placement.
+        """
         ginfo = self.globals[base]
-        ty: T.CType = ginfo.type
-        # Split leading index steps (into the base array) from the rest.
-        idx_coords: list[int] = []
         k = 0
-        if isinstance(ty, T.ArrayType):
-            while k < len(steps) and steps[k][0] == "idx" and len(idx_coords) < len(ty.dims):
-                idx_coords.append(int(steps[k][1]))  # type: ignore[arg-type]
-                k += 1
-        field_path: list[str] = []
-        probe_ty = _elem_after(ty, len(idx_coords))
-        j = k
-        while j < len(steps) and steps[j][0] == "field":
-            field_path.append(str(steps[j][1]))
-            j += 1
-        # Group member match: longest matching field-path prefix.
-        if base in self._grouped_paths and len(idx_coords) == _ndims(ty):
-            for plen in range(len(field_path), -1, -1):
-                key = (base, tuple(field_path[:plen]))
-                amap = self._group_addr.get(key)
-                if amap is None:
-                    continue
-                flat = _flatten(idx_coords, ty.dims) if isinstance(ty, T.ArrayType) else 0
-                addr = amap[flat]
-                sub_ty = self._member_type(base, key[1])
-                return self._apply_steps(addr, sub_ty, steps[k + plen:])
-        # Padded / natural placement.
-        addr = ginfo.base
-        if isinstance(ty, T.ArrayType) and idx_coords:
-            stride = ginfo.elem_stride or self.sizeof(ty.elem)
-            flat = _flatten_partial(idx_coords, ty.dims)
-            if ginfo.elem_stride is not None and len(idx_coords) == len(ty.dims):
-                addr += _flatten(idx_coords, ty.dims) * stride
-            elif ginfo.elem_stride is not None:
-                # partial index of padded multi-dim array: stride applies
-                # at element granularity
-                addr += _flatten_partial(idx_coords, ty.dims) * stride
-            else:
-                addr += flat * self.sizeof(ty.elem)
-        return self._apply_steps(addr, probe_ty, steps[k:])
+        while k < len(steps) and k < len(ginfo.strides) and steps[k][0] == "idx":
+            k += 1
+        paths = self.members.get(base) if k == len(ginfo.strides) else None
+        if paths:
+            j = k
+            while j < len(steps) and steps[j][0] == "field":
+                j += 1
+            for end in range(j, k - 1, -1):
+                member = paths.get(tuple(str(v) for _, v in steps[k:end]))
+                if member is not None:
+                    flat, flat_strides = _fold(steps[:k], _spans(ginfo.type), 0)
+                    strides: list[int] = []
+                    const, ty = self.walk(0, member.type, steps[end:], strides)
+                    return PathMap(
+                        ty, const, tuple(strides), member.table, flat, tuple(flat_strides)
+                    )
+        const, strides = _fold(steps[:k], ginfo.strides, ginfo.base)
+        const, ty = self.walk(const, _elem_after(ginfo.type, k), steps[k:], strides)
+        return PathMap(ty, const, tuple(strides))
 
-    def _member_type(self, base: str, path: tuple[str, ...]) -> T.CType:
-        ty = self.globals[base].type
-        if isinstance(ty, T.ArrayType):
-            ty = ty.elem
-        for comp in path:
-            assert isinstance(ty, T.StructType)
-            ty = self.field_of(ty.name, comp).type
-        return ty
-
-    def _apply_steps(self, addr: int, ty: T.CType, steps: list[Step]) -> tuple[int, T.CType]:
+    def walk(
+        self,
+        addr: int,
+        ty: T.CType,
+        steps: Sequence[Step],
+        open_strides: Optional[list[int]] = None,
+    ) -> tuple[int, T.CType]:
+        """Follow ``steps`` through the natural layout of an object of
+        type ``ty`` at ``addr``: the (address, type) they reach.  An open
+        index step appends its byte stride to ``open_strides`` instead."""
         for kind, val in steps:
             if kind == "idx":
-                if isinstance(ty, T.ArrayType):
-                    inner = (
-                        T.ArrayType(ty.elem, ty.dims[1:]) if len(ty.dims) > 1 else ty.elem
-                    )
-                    addr += int(val) * self.sizeof(inner)  # type: ignore[arg-type]
-                    ty = inner
-                else:  # pragma: no cover - interpreter handles pointers
+                if not isinstance(ty, T.ArrayType):  # pragma: no cover
                     raise TransformError(f"cannot index type {ty}")
+                ty = T.ArrayType(ty.elem, ty.dims[1:]) if len(ty.dims) > 1 else ty.elem
+                if isinstance(val, tuple):
+                    open_strides.append(self.sizeof(ty))  # type: ignore[union-attr]
+                else:
+                    addr += int(val) * self.sizeof(ty)  # type: ignore[arg-type]
             else:
-                assert isinstance(ty, T.StructType)
+                if not isinstance(ty, T.StructType):  # pragma: no cover
+                    raise TransformError(f"no field {val} in type {ty}")
                 fld = self.field_of(ty.name, str(val))
                 addr += fld.offset
                 ty = fld.type
@@ -431,8 +452,8 @@ class DataLayout:
 
     def _extent(self, g: GlobalInfo) -> int:
         ty = g.type
-        if g.elem_stride is not None and isinstance(ty, T.ArrayType):
-            return (ty.nelems - 1) * g.elem_stride + self.sizeof(ty.elem)
+        if isinstance(ty, T.ArrayType):
+            return (ty.nelems - 1) * g.strides[-1] + self.sizeof(ty.elem)
         return self.sizeof(ty)
 
     def locate(self, addr: int, heap: Sequence[HeapObject] = ()) -> Optional[Location]:
@@ -457,17 +478,16 @@ class DataLayout:
         elif addr >= GROUP_BASE:
             starts, entries = self._group_index()
             j = bisect_right(starts, addr) - 1
-            if j < 0 or addr >= starts[j] + entries[j][0]:
+            if j < 0 or addr >= starts[j] + entries[j][0].size:
                 return None
-            _, base, path, flat = entries[j]
-            gty = self.globals[base].type
+            member, flat = entries[j]
+            gty = self.globals[member.base].type
             steps: list[Step] = []
             if isinstance(gty, T.ArrayType):
                 steps = [("idx", c) for c in _unflatten(flat, gty.dims)]
-            steps += [("field", p) for p in path]
-            member = self._member_type(base, path)
-            found = self._descend(member, addr - starts[j], steps)
-            space, key = "global", base
+            steps += [("field", p) for p in member.path]
+            found = self._descend(member.type, addr - starts[j], steps)
+            space, key = "global", member.base
         else:
             starts, infos = self._global_index()
             j = bisect_right(starts, addr) - 1
@@ -475,8 +495,8 @@ class DataLayout:
                 return None
             g = infos[j]
             ty, off, steps = g.type, addr - g.base, []
-            if g.elem_stride is not None and isinstance(ty, T.ArrayType):
-                flat, off = divmod(off, g.elem_stride)
+            if isinstance(ty, T.ArrayType):
+                flat, off = divmod(off, g.strides[-1])
                 steps = [("idx", c) for c in _unflatten(flat, ty.dims)]
                 ty = ty.elem
             found = self._descend(ty, off, steps)
@@ -493,11 +513,11 @@ class DataLayout:
         if space == "sync":
             return int(key)  # type: ignore[arg-type]
         if space == "global":
-            addr, _ = self.materialize(str(key), list(steps))
+            addr, _ = self.materialize(str(key), steps)
             return addr + residual
         start, _, ty = heap[key]  # type: ignore[index]
         start += int(steps[0][1]) * self.sizeof(ty)  # type: ignore[arg-type]
-        addr, _ = self._apply_steps(start, ty, list(steps[1:]))
+        addr, _ = self.walk(start, ty, steps[1:])
         return addr + residual
 
     def _descend(
@@ -533,23 +553,19 @@ class DataLayout:
             got = self._locate_globals = ([g.base for g in infos], infos)
         return got
 
-    def _group_index(self) -> tuple[list[int], list[tuple]]:
+    def _group_index(self) -> tuple[list[int], list[tuple[Member, int]]]:
         got = self._locate_group
         if got is None:
             rows = sorted(
-                (addr, self._member_elem_size(base, path), base, path, flat)
-                for (base, path), amap in self._group_addr.items()
-                for flat, addr in amap.items()
+                ((addr, member, flat) for member in self.group_members()
+                 for flat, addr in enumerate(member.table)),
+                key=lambda r: r[0],
             )
             got = self._locate_group = (
                 [r[0] for r in rows],
                 [r[1:] for r in rows],
             )
         return got
-
-
-def _ndims(ty: T.CType) -> int:
-    return len(ty.dims) if isinstance(ty, T.ArrayType) else 0
 
 
 def _elem_after(ty: T.CType, nidx: int) -> T.CType:
@@ -562,22 +578,26 @@ def _elem_after(ty: T.CType, nidx: int) -> T.CType:
     return ty
 
 
-def _flatten(coords: list[int], dims: tuple[int, ...]) -> int:
-    flat = 0
-    for c, d in zip(coords, dims):
-        flat = flat * d + c
-    return flat
+def _spans(ty: T.CType) -> list[int]:
+    """Elements spanned by one step of each of an array's dimensions
+    (row-major); none for any other type."""
+    dims = ty.dims if isinstance(ty, T.ArrayType) else ()
+    spans = [1] * len(dims)
+    for i in range(len(dims) - 1, 0, -1):
+        spans[i - 1] = spans[i] * dims[i]
+    return spans
 
 
-def _flatten_partial(coords: list[int], dims: tuple[int, ...]) -> int:
-    """Flat element offset of a partial index (row-major)."""
-    flat = 0
-    for i, c in enumerate(coords):
-        span = 1
-        for d in dims[i + 1:]:
-            span *= d
-        flat += c * span
-    return flat
+def _fold(steps: Sequence[Step], strides: Sequence[int], const: int) -> tuple[int, list[int]]:
+    """``const`` plus each concrete index step times its stride, and the
+    strides of the open ones."""
+    open_strides = []
+    for (_, v), stride in zip(steps, strides):
+        if isinstance(v, tuple):
+            open_strides.append(stride)
+        else:
+            const += int(v) * stride  # type: ignore[call-overload]
+    return const, open_strides
 
 
 def _unflatten(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:

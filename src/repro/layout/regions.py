@@ -154,11 +154,8 @@ def build_region_map(
     segs: list[Segment] = []
     for name, info in layout.globals.items():
         segs.append(Segment(info.base, info.size, name))
-    for (base, path), amap in layout._group_addr.items():
-        label = base + "".join(f".{p}" for p in path)
-        esize = layout._member_elem_size(base, path)
-        for addr in amap.values():
-            segs.append(Segment(addr, esize, label))
+    for member in layout.group_members():
+        segs.extend(Segment(addr, member.size, member.label) for addr in member.table)
     for addr, size, label in heap_segments or []:
         segs.append(Segment(addr, size, label))
     return RegionMap(segs)

@@ -19,6 +19,8 @@ Three groups of operations:
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from math import gcd
 from typing import Optional
 
@@ -312,8 +314,24 @@ def disjoint_across_pdv(rsd: RSD, nprocs: int) -> bool:
 def owner_of(rsd: RSD, index: tuple[int, ...], nprocs: int) -> Optional[int]:
     """Which process's section contains ``index``?  Requires a
     PDV-disjoint descriptor; returns None when no section contains it."""
+    return _first_owner(rsd.instantiate, index, nprocs)
+
+
+def owner_table(rsd: RSD, dims: tuple[int, ...], nprocs: int) -> list[Optional[int]]:
+    """:func:`owner_of` of every index of a ``dims`` array, in row-major
+    order, instantiating each process's section once."""
+    section = cache(rsd.instantiate)
+    return [
+        _first_owner(section, index, nprocs)
+        for index in product(*(range(d) for d in dims))
+    ]
+
+
+def _first_owner(section, index: tuple[int, ...], nprocs: int) -> Optional[int]:
+    """The first process whose ``section(p)`` contains ``index``; None
+    once an earlier section is unknown or of the wrong rank."""
     for p in range(nprocs):
-        inst = rsd.instantiate(p)
+        inst = section(p)
         if inst is None or len(inst) != len(index):
             return None
         if all(

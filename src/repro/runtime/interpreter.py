@@ -402,23 +402,17 @@ class Interpreter:
 
     def _static_resolver(self, base: str, steps: list) -> tuple:
         """(fn, const, ty) for the global ``base`` reached through
-        ``steps``: what ``layout.materialize`` returns (``const`` for a
-        constant path), through a memo keyed by the index values (one
-        level per dynamic index, bounds-checked before insertion)."""
-        materialize = self.layout.materialize
-        dyn = [k for k, (kind, v) in enumerate(steps) if kind == "idx" and isinstance(v, tuple)]
-        concrete = [("idx", 0) if k in dyn else s for k, s in enumerate(steps)]
-        addr, ty = materialize(base, concrete)
-        if not dyn:
-            return (lambda p, fr: addr), addr, ty
-
-        def at(p, *js):
-            path = list(concrete)
-            for k, j in zip(dyn, js):
-                path[k] = ("idx", j)
-            return materialize(base, path)[0]
-
-        levels = [steps[k][1] for k in dyn]
+        ``steps``, lowered onto its placement (``layout.lower``):
+        ``const`` for a constant path; otherwise each run-time index is
+        bounds-checked as it is evaluated, in source order, and the
+        address is ``const + Σ i·stride`` (through the member's table
+        for a group member)."""
+        m = self.layout.lower(base, steps)
+        levels = [v for kind, v in steps if kind == "idx" and isinstance(v, tuple)]
+        if not levels:
+            addr = m.at()
+            return (lambda p, fr: addr), addr, m.ty
+        at = m.at
         if any(gen for _, gen, _, _ in levels):
             def checked(I, gen, dim, loc):
                 def check(p, i):
@@ -427,37 +421,37 @@ class Interpreter:
                     return int(i)
                 return _gen_node(check, (I, gen))
 
-            return _gen_node(at, *((checked(*lv), True) for lv in levels)), None, ty
-        memo: dict = {}
+            fn = _gen_node(lambda p, *js: at(js), *((checked(*lv), True) for lv in levels))
+            return fn, None, m.ty
+        const, table, flat = m.const, m.table, m.flat
         if len(levels) == 1:
             I, _, dim, loc = levels[0]
+            (s,) = m.strides or (0,)
+            if table is None:
+                def fn(p, fr):
+                    i = int(I(p, fr))
+                    if not 0 <= i < dim:
+                        raise _oob(i, dim, loc)
+                    return const + i * s
+            else:
+                (f,) = m.flat_strides or (0,)
 
-            def fn(p, fr):
-                i = I(p, fr)
-                a = memo.get(i)
-                if a is None:
-                    j = int(i)
-                    if not 0 <= j < dim:
-                        raise _oob(j, dim, loc)
-                    a = memo[i] = at(p, j)
-                return a
-            return fn, None, ty
-        last = len(levels) - 1
+                def fn(p, fr):
+                    i = int(I(p, fr))
+                    if not 0 <= i < dim:
+                        raise _oob(i, dim, loc)
+                    return table[flat + i * f] + const + i * s
+            return fn, None, m.ty
 
         def fn(p, fr):
-            m, js = memo, ()
-            for n, (I, _, dim, loc) in enumerate(levels):
-                i = I(p, fr)
-                nxt = m.get(i)
-                if nxt is None:
-                    j = int(i)
-                    if not 0 <= j < dim:
-                        raise _oob(j, dim, loc)
-                    nxt = m[i] = at(p, *js, j) if n == last else (js + (j,), {})
-                if n == last:
-                    return nxt
-                js, m = nxt
-        return fn, None, ty
+            js = []
+            for I, _, dim, loc in levels:
+                i = int(I(p, fr))
+                if not 0 <= i < dim:
+                    raise _oob(i, dim, loc)
+                js.append(i)
+            return at(js)
+        return fn, None, m.ty
 
     def _arena_alloc(
         self, pid: int, ty: T.CType, struct_name: str, field_name: str

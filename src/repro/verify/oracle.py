@@ -136,58 +136,27 @@ def _read_leaf(
 ):
     """Resolve one scalar leaf the way the interpreter would.
 
-    Walks the access path statically until (if ever) it crosses an
+    The path resolves statically until (if ever) it crosses an
     indirected field; the pointer cell for such a field sits at the
     field's offset within the *prefix* placement (indirection takes
     precedence over grouping, matching ``Interpreter._lower_field``),
-    and the value lives behind it in a per-process arena.  Purely
-    static paths resolve through ``layout.materialize``, which applies
-    the group-region and padding placements.
+    and the value lives behind it in a per-process arena, reached by the
+    layout's step walker.  Purely static paths resolve through
+    ``layout.materialize``, which applies the group-region and padding
+    placements.
     """
-    ty: T.CType = layout.global_info(base).type
-    static: list = []
-    raw: int | None = None  # address once the walk left static placement
-    for kind, val in steps:
-        if raw is None:
-            if kind == "field":
-                assert isinstance(ty, T.StructType)
-                fld = layout.field_of(ty.name, str(val))
-                if layout.is_indirected(ty.name, str(val)):
-                    struct_addr, _ = layout.materialize(base, static)
-                    slot = mem.get(struct_addr + fld.offset, 0)
-                    if not slot:
-                        return _default(leaf_ty)
-                    assert isinstance(fld.type, T.PointerType)
-                    raw, ty = int(slot), fld.type.target
-                    continue
-                static.append(("field", val))
-                ty = fld.type
-            else:
-                static.append(("idx", val))
-                assert isinstance(ty, T.ArrayType)
-                ty = (
-                    T.ArrayType(ty.elem, ty.dims[1:])
-                    if len(ty.dims) > 1
-                    else ty.elem
-                )
-        else:
-            if kind == "field":
-                assert isinstance(ty, T.StructType)
-                fld = layout.field_of(ty.name, str(val))
-                raw += fld.offset
-                ty = fld.type
-            else:
-                assert isinstance(ty, T.ArrayType)
-                inner = (
-                    T.ArrayType(ty.elem, ty.dims[1:])
-                    if len(ty.dims) > 1
-                    else ty.elem
-                )
-                raw += int(val) * layout.sizeof(inner)
-                ty = inner
-    if raw is None:
-        raw, _ = layout.materialize(base, static)
-    return mem.get(raw, _default(leaf_ty))
+    ty: T.CType = layout.globals[base].type
+    for n, (kind, val) in enumerate(steps):
+        if kind == "field" and layout.is_indirected(ty.name, str(val)):
+            fld = layout.field_of(ty.name, str(val))
+            struct_addr, _ = layout.materialize(base, steps[:n])
+            slot = mem.get(struct_addr + fld.offset, 0)
+            if not slot:
+                return _default(leaf_ty)
+            raw, _ = layout.walk(int(slot), fld.type.target, steps[n + 1:])
+            return mem.get(raw, _default(leaf_ty))
+        _, ty = layout.walk(0, ty, ((kind, val),))
+    return mem.get(layout.materialize(base, steps)[0], _default(leaf_ty))
 
 
 def snapshot_globals(

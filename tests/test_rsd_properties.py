@@ -11,10 +11,13 @@ import random
 
 import pytest
 
+from dataclasses import dataclass
+from itertools import product
+
 from repro.lang import compile_source
 from repro.layout.datalayout import GROUP_BASE, DataLayout
 from repro.layout.regions import build_region_map
-from repro.rsd.descriptor import RSD, Point, Range, StridedUnknown, Unknown
+from repro.rsd.descriptor import RSD, UNKNOWN, Point, Range, StridedUnknown, Unknown
 from repro.rsd.expr import Affine
 from repro.rsd.ops import (
     ap_intersect,
@@ -22,6 +25,7 @@ from repro.rsd.ops import (
     merge_elems,
     merge_rsds,
     owner_of,
+    owner_table,
     sections_intersect,
 )
 from repro.transform.plan import GroupMember, TransformPlan
@@ -170,12 +174,39 @@ if HAVE_HYPOTHESIS:
     )
 
     @settings(max_examples=200, deadline=None)
-    @given(elem_strategy, elem_strategy)
-    def test_merge_elems_is_union_superset_hypothesis(a, b):
+    @given(elem_strategy, elem_strategy, st.integers(1, 6))
+    def test_merge_elems_is_union_superset_hypothesis(a, b, nprocs):
         check_merge_covers_both(a, b)
+        # the same elements as partitions: owner_table is owner_of per
+        # element, also once an early process's section is unknown or
+        # of the wrong rank
+        for rsd, dims in (
+            (RSD((a,)), (40,)),
+            (RSD((a, b)), (10, 10)),
+            (RSD((UNKNOWN, b)), (10, 10)),
+            (_VanishingAt((a, b), nprocs // 2), (10, 10)),
+            (RSD((a,)), (6, 6)),
+        ):
+            check_owner_table(rsd, dims, nprocs)
 
 
 # -- ownership / disjointness ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _VanishingAt(RSD):
+    """A descriptor with no section (instantiating to None) for process
+    ``pid`` alone."""
+
+    pid: int = 0
+
+    def instantiate(self, pdv: int):
+        return None if pdv == self.pid else super().instantiate(pdv)
+
+
+def check_owner_table(rsd: RSD, dims: tuple[int, ...], nprocs: int) -> None:
+    want = [owner_of(rsd, i, nprocs) for i in product(*(range(d) for d in dims))]
+    assert owner_table(rsd, dims, nprocs) == want
 
 
 def test_disjoint_across_pdv_implies_unique_owner():
@@ -232,9 +263,9 @@ def test_group_region_sections_are_bounded_and_disjoint(nprocs):
     )
     layout = DataLayout(checked, plan, block_size=bs, nprocs=nprocs)
     spans: dict[int, list[int]] = {p: [] for p in range(nprocs)}
-    for (base, path), amap in layout._group_addr.items():
-        member = next(m for m in plan.group if m.base == base)
-        for flat, addr in amap.items():
+    for placed in layout.group_members():
+        member = next(m for m in plan.group if m.base == placed.base)
+        for flat, addr in enumerate(placed.table):
             owner = owner_of(member.partition, (flat,), nprocs)
             assert owner is not None, f"{base}[{flat}] has no owner"
             spans[owner].append(addr)
