@@ -8,8 +8,9 @@ worst during the phase that just ended.
 
 The machinery rides entirely on existing pieces:
 
-* the **signal** is the simulator's per-block false-sharing pair
-  attribution (``fs_pair_by_block`` / ``fs_by_block``), folded through
+* the **signal** is the simulator's per-block false-sharing count: the
+  core's ``(block, false-sharing misses)`` column snapshot at each phase
+  boundary, differenced against the previous one and folded through
   the layout's region map into per-structure phase deltas;
 * the **boundaries** are the interpreter's ``RunResult.phase_marks``
   (trace indices at which a barrier released);
@@ -261,7 +262,7 @@ def mitigate(
     kernel = resolve_kernel(events=_extent(trace, block_size))
     t0 = time.perf_counter()
     core = _make_core(kernel, nprocs, config, False)
-    fs_before: dict[int, int] = {}
+    fs_before = [np.zeros(0, dtype=np.int64)] * 2
 
     phases: list[PhaseStat] = []
     repairs: list[Repair] = []
@@ -279,34 +280,35 @@ def mitigate(
                 ),
                 block_size,
             ))
-            fs_after = core.fs_by_block()
+            fs_after = core.fs_snapshot()
 
-        # per-structure FS delta of this phase (relocated placements are
-        # outside the region map — and outside the candidate set anyway)
-        delta = {
-            b: c - fs_before.get(b, 0)
-            for b, c in fs_after.items()
-            if c > fs_before.get(b, 0)
-        }
+        # per-block FS delta of this phase: counts only grow, so every
+        # block of the previous snapshot is a row of this one
+        blocks, delta = fs_after[0], fs_after[1].copy()
+        delta[np.searchsorted(blocks, fs_before[0])] -= fs_before[1]
         fs_before = fs_after
         stat = PhaseStat(
-            index=k, start=lo, stop=hi, fs_misses=sum(delta.values())
+            index=k, start=lo, stop=hi, fs_misses=int(delta.sum())
         )
-        base_blocks = [b for b in delta if b < dyn_block_lo]
-        if base_blocks:
-            arr = np.asarray(base_blocks, dtype=np.int64)
-            names = regions.names_of_many(arr * block_size)
-            per_struct: dict[str, int] = {}
-            for nm, b in zip(names.tolist(), base_blocks):
-                per_struct[nm] = per_struct.get(nm, 0) + delta[b]
+        # per-structure delta (relocated placements are outside the
+        # region map — and outside the candidate set anyway)
+        base = (delta > 0) & (blocks < dyn_block_lo)
+        if base.any():
+            names, row = np.unique(
+                regions.names_of_many(blocks[base] * block_size),
+                return_inverse=True,
+            )
+            sums = np.bincount(row, weights=delta[base])
+            per_struct = {
+                nm: int(n) for nm, n in zip(names.tolist(), sums.tolist())
+            }
             candidates = [
                 (fs, nm)
                 for nm, fs in per_struct.items()
                 if nm in actions and not overlay.repaired(nm)
             ]
-            if per_struct:
-                top = max(per_struct.items(), key=lambda kv: (kv[1], kv[0]))
-                stat.hottest, stat.hottest_fs = top[0], top[1]
+            top = max(per_struct.items(), key=lambda kv: (kv[1], kv[0]))
+            stat.hottest, stat.hottest_fs = top
             if (
                 candidates
                 and k < len(bounds) - 2  # a repair after the last phase

@@ -9,7 +9,6 @@ attributions in reports.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,45 +50,17 @@ class RegionMap:
             else:
                 merged.append(s)
         self.segments = merged
-        self._starts = [s.start for s in merged]
-        #: addr -> name memo: miss attribution resolves the same block
-        #: base addresses over and over (misses, FS, FS pairs, repeat
-        #: block sizes), and the map is immutable after construction
-        self._name_cache: dict[int, str] = {}
         # columnar mirrors for the vectorized lookup
-        self._starts_np = np.asarray(self._starts, dtype=np.int64)
+        self._starts_np = np.asarray([s.start for s in merged], dtype=np.int64)
         self._ends_np = np.asarray([s.end for s in merged], dtype=np.int64)
         self._names_np = np.asarray([s.name for s in merged], dtype=object)
 
     def name_of(self, addr: int) -> str:
-        cached = self._name_cache.get(addr)
-        if cached is not None:
-            return cached
-        name = self._resolve(addr)
-        self._name_cache[addr] = name
-        return name
-
-    def _resolve(self, addr: int) -> str:
-        if addr >= SYNC_BASE:
-            return "(sync)"
-        if ARENA_BASE <= addr < ARENA_BASE + 130 * ARENA_STRIDE:
-            pid = (addr - ARENA_BASE) // ARENA_STRIDE - 1
-            return f"(arena:{pid})"
-        i = bisect_right(self._starts, addr) - 1
-        if i >= 0:
-            seg = self.segments[i]
-            if seg.start <= addr < seg.end:
-                return seg.name
-        if addr >= HEAP_BASE:
-            return "(heap)"
-        if addr >= GROUP_BASE:
-            return "(group)"
-        return "(unknown)"
+        return self.names_of_many(np.array([addr]))[0]
 
     def names_of_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`name_of` over an int64 address array —
-        the attribution folds resolve every missed block base at once
-        instead of bisecting per address."""
+        """The structure name of every address of an int64 array — the
+        attribution folds resolve every missed block base at once."""
         addrs = np.asarray(addrs, dtype=np.int64)
         out = np.empty(len(addrs), dtype=object)
         sync = addrs >= SYNC_BASE
@@ -130,18 +101,18 @@ class RegionMap:
         names *all* residents of a line, not just the one at its base.
         """
         names: list[str] = []
-        i = max(bisect_right(self._starts, lo) - 1, 0)
+        i = max(int(np.searchsorted(self._starts_np, lo, side="right")) - 1, 0)
         while i < len(self.segments) and self.segments[i].start < hi:
             seg = self.segments[i]
             if seg.end > lo and seg.name not in names:
                 names.append(seg.name)
             i += 1
-        if not names:
-            names.append(self.name_of(lo))
-        elif self.name_of(lo) not in names:
-            # the base address falls in a synthetic region ((sync),
-            # (arena:N), ...) that the segment list does not cover
-            names.insert(0, self.name_of(lo))
+        base = self.name_of(lo)
+        if base not in names:
+            # no segment overlaps, or the base address falls in a
+            # synthetic region ((sync), (arena:N), ...) that the segment
+            # list does not cover
+            names.insert(0, base)
         return names
 
 

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 
 from repro.layout.regions import RegionMap
 from repro.sim.coherence import SimResult
-from repro.sim.metrics import (
-    attribute_fs_pairs,
-    attribute_misses,
-    block_heatmap,
-)
+from repro.sim.metrics import attribute, block_heatmap
 
 
 @dataclass(slots=True)
@@ -76,8 +72,7 @@ def fs_table(result: SimResult, regions: RegionMap) -> Attribution:
     exactly to the simulator's reported totals — attribution must be an
     accounting identity, not an estimate.
     """
-    by_structure = attribute_misses(result, regions)
-    by_pairs = attribute_fs_pairs(result, regions)
+    by_structure, by_pairs = attribute(result, regions)
     rows = [
         AttributionRow(
             name=name,

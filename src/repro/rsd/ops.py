@@ -19,10 +19,10 @@ Three groups of operations:
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Optional
+
+import numpy as np
 
 from repro.rsd.descriptor import (
     RSD,
@@ -313,25 +313,11 @@ def disjoint_across_pdv(rsd: RSD, nprocs: int) -> bool:
 
 def owner_of(rsd: RSD, index: tuple[int, ...], nprocs: int) -> Optional[int]:
     """Which process's section contains ``index``?  Requires a
-    PDV-disjoint descriptor; returns None when no section contains it."""
-    return _first_owner(rsd.instantiate, index, nprocs)
-
-
-def owner_table(rsd: RSD, dims: tuple[int, ...], nprocs: int) -> list[Optional[int]]:
-    """:func:`owner_of` of every index of a ``dims`` array, in row-major
-    order, instantiating each process's section once."""
-    section = cache(rsd.instantiate)
-    return [
-        _first_owner(section, index, nprocs)
-        for index in product(*(range(d) for d in dims))
-    ]
-
-
-def _first_owner(section, index: tuple[int, ...], nprocs: int) -> Optional[int]:
-    """The first process whose ``section(p)`` contains ``index``; None
-    once an earlier section is unknown or of the wrong rank."""
+    PDV-disjoint descriptor; returns None when no section contains it,
+    and once an earlier process's section is unknown or of the wrong
+    rank."""
     for p in range(nprocs):
-        inst = section(p)
+        inst = rsd.instantiate(p)
         if inst is None or len(inst) != len(index):
             return None
         if all(
@@ -340,3 +326,20 @@ def _first_owner(section, index: tuple[int, ...], nprocs: int) -> Optional[int]:
         ):
             return p
     return None
+
+
+def owner_table(rsd: RSD, dims: tuple[int, ...], nprocs: int) -> list[Optional[int]]:
+    """:func:`owner_of` of every index of a ``dims`` array, in row-major
+    order: each process's section is instantiated once and evaluated
+    over the whole index grid."""
+    grid = np.indices(dims).reshape(len(dims), prod(dims))
+    owner = np.full(grid.shape[1], -1, dtype=np.int64)
+    for p in range(nprocs):
+        inst = rsd.instantiate(p)
+        if inst is None or len(inst) != len(dims):
+            break
+        hit = owner < 0
+        for x, (lo, hi, st) in zip(grid, inst):
+            hit &= (lo <= x) & (x <= hi) & ((x - lo) % st == 0)
+        owner[hit] = p
+    return [None if o < 0 else o for o in owner.tolist()]

@@ -35,8 +35,8 @@ compacted simulations bit-identical to the reference (see
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,12 +79,6 @@ class MissCounts:
     def total(self) -> int:
         return self.cold + self.replace + self.true_sharing + self.false_sharing
 
-    def add(self, other: "MissCounts") -> None:
-        self.cold += other.cold
-        self.replace += other.replace
-        self.true_sharing += other.true_sharing
-        self.false_sharing += other.false_sharing
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.cold, self.replace, self.true_sharing, self.false_sharing)
 
@@ -120,6 +114,50 @@ class PerProcCounts(Mapping):
         return f"PerProcCounts({dict(self)!r})"
 
 
+def canonical_rows(cols, positive: int) -> list[np.ndarray]:
+    """The rows of ``cols`` whose column ``positive`` is > 0, sorted by
+    the columns before it (which identify a row), as read-only int64
+    columns: the Python core's insertion order and the C kernel's hash
+    order become one order, and :mod:`repro.sim.simcache` shares one
+    result between callers."""
+    rows = np.asarray(cols, dtype=np.int64)
+    rows = rows[:, rows[positive] > 0]
+    keys = rows[positive - 1::-1]
+    # keys identify a row, so one key needs no stable (slower) sort
+    rows = rows[:, np.argsort(keys[0]) if positive == 1 else np.lexsort(keys)]
+    rows.flags.writeable = False
+    return list(rows)
+
+
+class BlockMisses(NamedTuple):
+    """Misses per cache block: one row per block with a miss, sorted by
+    block (for data-structure attribution)."""
+
+    block: np.ndarray
+    misses: np.ndarray
+    false_sharing: np.ndarray
+
+    @classmethod
+    def of(cls, *cols) -> "BlockMisses":
+        return cls(*canonical_rows(cols, 1))
+
+
+class FSPairs(NamedTuple):
+    """False-sharing misses per (block, invalidating writer, missing
+    processor): one row per triple with a miss, sorted by all three.
+    Per block the counts sum to its ``false_sharing`` (the attribution
+    layer's per-processor-pair breakdown is folded from this)."""
+
+    block: np.ndarray
+    writer: np.ndarray
+    misser: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, *cols) -> "FSPairs":
+        return cls(*canonical_rows(cols, 3))
+
+
 @dataclass(slots=True)
 class SimResult:
     """Outcome of simulating one trace on one cache configuration."""
@@ -133,15 +171,8 @@ class SimResult:
     upgrades: int
     #: per-processor miss counts (a read-only mapping view)
     per_proc: Mapping
-    #: false-sharing misses per block (for data-structure attribution)
-    fs_by_block: dict[int, int] = field(default_factory=dict)
-    miss_by_block: dict[int, int] = field(default_factory=dict)
-    #: block -> {(invalidating writer, missing proc) -> FS miss count};
-    #: sums exactly to ``misses.false_sharing`` (the attribution layer's
-    #: per-structure, per-processor-pair breakdown is folded from this)
-    fs_pair_by_block: dict[int, dict[tuple[int, int], int]] = field(
-        default_factory=dict
-    )
+    blocks: BlockMisses
+    pairs: FSPairs
     #: extra references counted toward the denominator but not simulated
     extra_refs: int = 0
     #: wall-clock seconds spent in the simulation (instrumentation)
@@ -218,9 +249,12 @@ class CoherenceSim:
         #: is the serial parent), columns = cold/replace/true/false
         self._proc_counts = np.zeros((nprocs + 1, 4), dtype=np.int64)
         self._pids_seen: list[int] = []
-        self.fs_by_block: dict[int, int] = {}
-        self.miss_by_block: dict[int, int] = {}
-        self.fs_pair_by_block: dict[int, dict[tuple[int, int], int]] = {}
+        #: per-block accounting, folded into columns once by result():
+        #: block -> misses, block -> FS misses, and
+        #: (block, invalidating writer, missing proc) -> FS misses
+        self.block_misses: dict[int, int] = {}
+        self.block_fs: dict[int, int] = {}
+        self.fs_pairs: dict[tuple[int, int, int], int] = {}
         self.refs = 0
 
     # -- accounting views ---------------------------------------------------------
@@ -281,7 +315,7 @@ class CoherenceSim:
             # this access needs was remotely overwritten — genuine
             # communication, never false sharing
             self._proc_counts[proc + 1, _TRUE] += 1
-            self.miss_by_block[block] = self.miss_by_block.get(block, 0) + 1
+            self.block_misses[block] = self.block_misses.get(block, 0) + 1
             self.stale_words.pop((proc, block), None)  # refetch refreshes
             cache.touch(block)
             if is_write:
@@ -342,13 +376,12 @@ class CoherenceSim:
         kind = self._classify(proc, block, w_lo, w_hi)
         self._proc_counts[proc + 1, kind] += 1
         if kind == _FALSE:
-            self.fs_by_block[block] = self.fs_by_block.get(block, 0) + 1
+            self.block_fs[block] = self.block_fs.get(block, 0) + 1
             # FALSE implies the copy was lost to an invalidation, so the
             # loss record names the writer: attribute the ping-pong pair.
-            by = self.lost[(proc, block)][2]
-            pairs = self.fs_pair_by_block.setdefault(block, {})
-            pairs[(by, proc)] = pairs.get((by, proc), 0) + 1
-        self.miss_by_block[block] = self.miss_by_block.get(block, 0) + 1
+            key = (block, self.lost[(proc, block)][2], proc)
+            self.fs_pairs[key] = self.fs_pairs.get(key, 0) + 1
+        self.block_misses[block] = self.block_misses.get(block, 0) + 1
         self.ever.add((proc, block))
         self.stale_words.pop((proc, block), None)  # a fill refreshes all words
         if is_write:
@@ -425,6 +458,8 @@ class CoherenceSim:
 
     def result(self, extra_refs: int = 0, *, sim_seconds: float = 0.0,
                engine: str = "reference") -> SimResult:
+        bm = self.block_misses
+        pairs = np.array(list(self.fs_pairs), dtype=np.int64).reshape(-1, 3)
         return SimResult(
             config=self.config,
             nprocs=self.nprocs,
@@ -434,9 +469,11 @@ class CoherenceSim:
             writebacks=self.writebacks,
             upgrades=self.upgrades,
             per_proc=self.per_proc,
-            fs_by_block=self.fs_by_block,
-            miss_by_block=self.miss_by_block,
-            fs_pair_by_block=self.fs_pair_by_block,
+            blocks=BlockMisses.of(
+                list(bm), list(bm.values()),
+                [self.block_fs.get(b, 0) for b in bm],
+            ),
+            pairs=FSPairs.of(*pairs.T, list(self.fs_pairs.values())),
             extra_refs=extra_refs,
             sim_seconds=sim_seconds,
             engine=engine,

@@ -39,7 +39,7 @@ from repro import perf
 from repro.errors import SimulationError
 from repro.runtime.trace import Trace
 from repro.sim.cache import CacheConfig
-from repro.sim.coherence import CoherenceSim, SimResult
+from repro.sim.coherence import CoherenceSim, SimResult, canonical_rows
 from repro.sim.kernel import (
     NATIVE,
     PYTHON,
@@ -80,9 +80,10 @@ class _PythonCore:
         ):
             step(*ev)
 
-    def fs_by_block(self) -> dict[int, int]:
-        """Snapshot of the false-sharing misses per block so far."""
-        return dict(self.sim.fs_by_block)
+    def fs_snapshot(self) -> list:
+        """The ``(block, false-sharing misses)`` columns so far."""
+        fs = self.sim.block_fs
+        return canonical_rows((list(fs), list(fs.values())), 1)
 
     def result(self, *, extra_refs: int, sim_seconds: float,
                engine: str) -> SimResult:

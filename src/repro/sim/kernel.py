@@ -52,6 +52,9 @@ import numpy as np
 
 from repro import perf
 from repro.errors import SimulationError
+from repro.sim.coherence import (
+    BlockMisses, FSPairs, MissCounts, PerProcCounts, SimResult, canonical_rows,
+)
 
 log = logging.getLogger("repro.sim.kernel")
 
@@ -320,20 +323,17 @@ class NativeSim:
             )
         return blocks, miss, fs
 
-    def fs_by_block(self) -> dict[int, int]:
-        """Snapshot of the false-sharing misses per block so far (the
-        same contents as the Python core's ``fs_by_block``)."""
+    def fs_snapshot(self) -> list[np.ndarray]:
+        """The ``(block, false-sharing misses)`` columns so far, sorted
+        by block (equal to the Python core's)."""
         blocks, _miss, fs = self._export_blocks(int(self._stats()[6]))
-        nz = np.flatnonzero(fs)
-        return dict(zip(blocks[nz].tolist(), fs[nz].tolist()))
+        return canonical_rows((blocks, fs), 1)
 
     def result(self, *, extra_refs: int = 0, sim_seconds: float = 0.0,
                engine: str = "fast"):
         """Materialize the accumulated state as a
-        :class:`~repro.sim.coherence.SimResult` (same shapes and dict
-        contents as the Python core's)."""
-        from repro.sim.coherence import PerProcCounts, SimResult
-
+        :class:`~repro.sim.coherence.SimResult`, equal to the Python
+        core's column for column."""
         lib = self._lib
         refs, _time, invalidations, writebacks, upgrades, npids, nblocks, \
             npairs = (int(x) for x in self._stats())
@@ -350,12 +350,6 @@ class NativeSim:
         rows = max(self.nprocs + 1, max((p + 2 for p in pids_seen), default=0))
         proc_counts = counts[: max(rows, 1)].copy()
 
-        blocks, miss, fs = self._export_blocks(nblocks)
-        miss_by_block = {
-            int(b): int(m) for b, m in zip(blocks, miss) if m
-        }
-        fs_by_block = {int(b): int(f) for b, f in zip(blocks, fs) if f}
-
         pb = np.zeros(npairs, dtype=np.int64)
         pby = np.zeros(npairs, dtype=np.int32)
         pproc = np.zeros(npairs, dtype=np.int32)
@@ -368,13 +362,8 @@ class NativeSim:
                 pproc.ctypes.data_as(_I32P),
                 pcount.ctypes.data_as(_I64P),
             )
-        fs_pair_by_block: dict[int, dict[tuple[int, int], int]] = {}
-        for b, by, pr, ct in zip(pb, pby, pproc, pcount):
-            fs_pair_by_block.setdefault(int(b), {})[(int(by), int(pr))] = int(ct)
 
         total = proc_counts.sum(axis=0)
-        from repro.sim.coherence import MissCounts
-
         return SimResult(
             config=self.config,
             nprocs=self.nprocs,
@@ -386,9 +375,8 @@ class NativeSim:
             writebacks=writebacks,
             upgrades=upgrades,
             per_proc=PerProcCounts(proc_counts, pids_seen),
-            fs_by_block=fs_by_block,
-            miss_by_block=miss_by_block,
-            fs_pair_by_block=fs_pair_by_block,
+            blocks=BlockMisses.of(*self._export_blocks(nblocks)),
+            pairs=FSPairs.of(pb, pby, pproc, pcount),
             extra_refs=extra_refs,
             sim_seconds=sim_seconds,
             engine=engine,

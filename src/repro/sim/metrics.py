@@ -25,40 +25,58 @@ class StructureMisses:
         return self.total - self.false_sharing
 
 
-def _block_names(
-    by_block: dict, regions: RegionMap, bs: int
-) -> "np.ndarray":
-    """Resolve every block base in one vectorized pass (the per-address
-    bisect dominated attribution cost on large miss maps)."""
-    blocks = np.fromiter(by_block.keys(), dtype=np.int64, count=len(by_block))
-    return regions.names_of_many(blocks * bs)
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of the non-empty ``cols`` starts."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[0] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def attribute(
+    result: SimResult, regions: RegionMap
+) -> tuple[dict[str, StructureMisses], dict[str, dict[tuple[int, int], int]]]:
+    """Per-structure miss counts, and each structure's false-sharing
+    misses by ``(invalidating writer, missing processor)`` pair — who
+    wrote the block out from under whom — from one region lookup.  The
+    folds are exact: the totals equal the simulator's."""
+    b, p = result.blocks, result.pairs
+    if not len(b.block):
+        return {}, {}
+    # blocks are sorted by address, so a structure's blocks are a few
+    # runs of its name
+    names = regions.names_of_many(b.block * result.config.block_size)
+    start = _run_starts(names)
+    structs = sorted(set(names[start].tolist()))
+    row = np.repeat(
+        np.searchsorted(np.array(structs, dtype=object), names[start]),
+        np.diff(start, append=len(names)),
+    )
+    total = np.bincount(row, weights=b.misses, minlength=len(structs))
+    fs = np.bincount(row, weights=b.false_sharing, minlength=len(structs))
+    by_structure = {
+        name: StructureMisses(name, int(f), int(t))
+        for name, t, f in zip(structs, total.tolist(), fs.tolist())
+    }
+    by_pairs: dict[str, dict[tuple[int, int], int]] = {}
+    if len(p.block):
+        # a false-sharing miss is a miss, so every pair's block is a row
+        struct = row[np.searchsorted(b.block, p.block)]
+        order = np.lexsort((p.misser, p.writer, struct))
+        keys = (struct[order], p.writer[order], p.misser[order])
+        first = _run_starts(*keys)
+        counts = np.add.reduceat(p.count[order], first)
+        for s, w, m, n in zip(*(k[first].tolist() for k in keys), counts.tolist()):
+            by_pairs.setdefault(structs[s], {})[(w, m)] = n
+    return by_structure, by_pairs
 
 
 def attribute_misses(
     result: SimResult, regions: RegionMap
 ) -> dict[str, StructureMisses]:
     """Fold per-block miss counts into per-data-structure counts."""
-    bs = result.config.block_size
-    out: dict[str, StructureMisses] = {}
-    folds = (
-        (result.miss_by_block, "total"),
-        (result.fs_by_block, "false_sharing"),
-    )
-    for by_block, attr in folds:
-        if not by_block:
-            continue
-        names = _block_names(by_block, regions, bs)
-        counts = np.fromiter(
-            by_block.values(), dtype=np.int64, count=len(by_block)
-        )
-        uniq, inverse = np.unique(names, return_inverse=True)
-        sums = np.bincount(inverse, weights=counts)
-        for name, total in zip(uniq.tolist(), sums.tolist()):
-            rec = out.get(name)
-            if rec is None:
-                rec = out[name] = StructureMisses(name)
-            setattr(rec, attr, getattr(rec, attr) + int(total))
-    return out
+    return attribute(result, regions)[0]
 
 
 def top_fs_structures(
@@ -72,28 +90,6 @@ def top_fs_structures(
     return ranked[:n]
 
 
-def attribute_fs_pairs(
-    result: SimResult, regions: RegionMap
-) -> dict[str, dict[tuple[int, int], int]]:
-    """Per-structure false-sharing misses broken down by processor pair.
-
-    The pair is ``(invalidating writer, missing processor)`` — who wrote
-    the block out from under whom.  Counts fold
-    ``SimResult.fs_pair_by_block`` through the region map, so the grand
-    total equals ``result.misses.false_sharing`` exactly.
-    """
-    bs = result.config.block_size
-    out: dict[str, dict[tuple[int, int], int]] = {}
-    if not result.fs_pair_by_block:
-        return out
-    names = _block_names(result.fs_pair_by_block, regions, bs)
-    for name, pairs in zip(names, result.fs_pair_by_block.values()):
-        rec = out.setdefault(name, {})
-        for pair, count in pairs.items():
-            rec[pair] = rec.get(pair, 0) + count
-    return out
-
-
 @dataclass(slots=True)
 class BlockHotspot:
     """One cache line's miss profile (a row of the heatmap table)."""
@@ -103,13 +99,8 @@ class BlockHotspot:
     names: tuple[str, ...]
     misses: int
     false_sharing: int
-    #: hottest (writer, misser) pair and its count, if any FS occurred
+    #: hottest (writer, misser) pair, if any FS occurred
     top_pair: tuple[int, int] | None = None
-    top_pair_count: int = 0
-
-    @property
-    def addr(self) -> int:
-        return self.block  # scaled by callers that know the block size
 
 
 def block_heatmap(
@@ -118,25 +109,29 @@ def block_heatmap(
     """The ``limit`` hottest cache lines by miss count, with the
     structures they overlap and the dominant false-sharing pair."""
     bs = result.config.block_size
+    b, p = result.blocks, result.pairs
+    hot = np.lexsort((b.block, -b.misses))[:limit]
+    blocks = b.block[hot]
+    lo = np.searchsorted(p.block, blocks, side="left").tolist()
+    hi = np.searchsorted(p.block, blocks, side="right").tolist()
     rows: list[BlockHotspot] = []
-    ranked = sorted(
-        result.miss_by_block.items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    for block, count in ranked[:limit]:
-        pairs = result.fs_pair_by_block.get(block, {})
-        top_pair, top_count = None, 0
-        if pairs:
-            top_pair, top_count = max(
-                pairs.items(), key=lambda kv: (kv[1], kv[0])
-            )
+    for block, misses, fs, i, j in zip(
+        blocks.tolist(), b.misses[hot].tolist(),
+        b.false_sharing[hot].tolist(), lo, hi,
+    ):
+        top_pair = None
+        if i < j:
+            _, top_pair = max(zip(
+                p.count[i:j].tolist(),
+                zip(p.writer[i:j].tolist(), p.misser[i:j].tolist()),
+            ))
         rows.append(
             BlockHotspot(
                 block=block,
                 names=tuple(regions.names_in_range(block * bs, (block + 1) * bs)),
-                misses=count,
-                false_sharing=result.fs_by_block.get(block, 0),
+                misses=misses,
+                false_sharing=fs,
                 top_pair=top_pair,
-                top_pair_count=top_count,
             )
         )
     return rows

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.lang import ctypes as T
 from repro.transform.plan import Decision, PadAlign, TransformPlan
 
@@ -57,11 +59,13 @@ def profile_guided_plan(
     # overlapping the block (a trace profile sees miss *addresses*, not
     # just block numbers).
     attributed: dict[str, float] = {}
-    for block, count in sim.fs_by_block.items():
-        names = {
-            regions.name_of(addr)
-            for addr in range(block * block_size, (block + 1) * block_size, 4)
-        }
+    shared = sim.blocks.false_sharing > 0
+    for block, count in zip(
+        sim.blocks.block[shared].tolist(),
+        sim.blocks.false_sharing[shared].tolist(),
+    ):
+        lo = block * block_size
+        names = set(regions.names_of_many(np.arange(lo, lo + block_size, 4)))
         names.discard("(unknown)")
         if not names:
             continue

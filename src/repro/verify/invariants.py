@@ -10,6 +10,10 @@ Every property here is something the paper's miss classification makes
 * **miss classes partition the misses** — cold + replace + true +
   false equals the total, per processor and in aggregate, and the
   per-block / per-pair breakdowns re-sum to the class totals;
+* **false sharing is conserved per block** — each block's pair counts
+  sum to its false-sharing count, the pair blocks are exactly the
+  blocks with false sharing, and no processor falsely shares with
+  itself;
 * **cold misses count first touches** — exactly one cold miss per
   distinct (processor, block) pair referenced in the trace;
 * **engine equivalence** — the vectorized fast engine and the
@@ -80,14 +84,11 @@ def _compare_results(a: SimResult, b: SimResult, label: str) -> list[str]:
     if pa != pb:
         diffs = [p for p in pa if pa[p] != pb.get(p)]
         out.append(f"{label}: per-proc misses differ on procs {diffs}")
-    if dict(a.fs_by_block) != dict(b.fs_by_block):
-        out.append(f"{label}: fs_by_block differs")
-    if dict(a.miss_by_block) != dict(b.miss_by_block):
-        out.append(f"{label}: miss_by_block differs")
-    if {k: dict(v) for k, v in a.fs_pair_by_block.items()} != {
-        k: dict(v) for k, v in b.fs_pair_by_block.items()
-    }:
-        out.append(f"{label}: fs_pair_by_block differs")
+    for rec in ("blocks", "pairs"):
+        ra, rb = getattr(a, rec), getattr(b, rec)
+        for name, x, y in zip(ra._fields, ra, rb):
+            if not np.array_equal(x, y):
+                out.append(f"{label}: {rec}.{name} differs")
     return out
 
 
@@ -105,21 +106,22 @@ def check_result_internal(res: SimResult, trace: Trace, label: str) -> list[str]
         out.append(
             f"{label}: per-proc misses sum to {tuple(agg)}, global {m.as_tuple()}"
         )
-    if sum(res.fs_by_block.values()) != m.false_sharing:
-        out.append(
-            f"{label}: fs_by_block sums to {sum(res.fs_by_block.values())}, "
-            f"false_sharing is {m.false_sharing}"
-        )
-    pair_total = sum(
-        n for per in res.fs_pair_by_block.values() for n in per.values()
-    )
-    if pair_total != m.false_sharing:
-        out.append(
-            f"{label}: fs_pair_by_block sums to {pair_total}, "
-            f"false_sharing is {m.false_sharing}"
-        )
-    if sum(res.miss_by_block.values()) != m.total:
-        out.append(f"{label}: miss_by_block does not sum to total misses")
+    blocks, pairs = res.blocks, res.pairs
+    if int(blocks.misses.sum()) != m.total:
+        out.append(f"{label}: block miss counts do not sum to total misses")
+    if int(blocks.false_sharing.sum()) != m.false_sharing:
+        out.append(f"{label}: block FS counts do not sum to false_sharing")
+    # false sharing is conserved per block (so the pairs sum to the total)
+    shared = blocks.false_sharing > 0
+    pair_blocks, first = np.unique(pairs.block, return_index=True)
+    if not np.array_equal(pair_blocks, blocks.block[shared]):
+        out.append(f"{label}: the pair blocks are not the blocks with FS")
+    elif len(first) and not np.array_equal(
+        np.add.reduceat(pairs.count, first), blocks.false_sharing[shared]
+    ):
+        out.append(f"{label}: pair counts do not sum to their block's FS")
+    if (pairs.writer == pairs.misser).any():
+        out.append(f"{label}: a false-sharing pair's writer is its misser")
     if res.config.block_size == WORD and m.false_sharing != 0:
         out.append(
             f"{label}: {m.false_sharing} false-sharing misses at "

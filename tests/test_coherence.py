@@ -113,13 +113,13 @@ class TestAccounting:
         total = sum(c.total for c in r.per_proc.values())
         assert total == r.total_misses
 
-    def test_fs_by_block_sums(self):
+    def test_block_fs_sums(self):
         events = []
         for _ in range(4):
             events.append((0, 0, 4, True))
             events.append((1, 32, 4, True))
         r = sim(events)
-        assert sum(r.fs_by_block.values()) == r.misses.false_sharing
+        assert int(r.blocks.false_sharing.sum()) == r.misses.false_sharing
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -139,7 +139,7 @@ class TestAccounting:
         m = r.misses
         assert m.total == m.cold + m.replace + m.true_sharing + m.false_sharing
         assert m.total <= r.refs + 16  # straddles can add block accesses
-        assert sum(r.miss_by_block.values()) == m.total
+        assert int(r.blocks.misses.sum()) == m.total
 
 
 class TestBlockSizeEffect:

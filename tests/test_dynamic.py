@@ -2,7 +2,7 @@
 phase-mark plumbing, the engine's honesty property (zero repairs ==
 plain simulation, bit for bit), actual FS reduction with a verified
 equivalence plan, agreement of the Python and native protocol cores
-under it, and the `fs_pair_by_block` conservation law under both
+under it, and the per-block false-sharing conservation law under both
 schedulers (the signal the engine folds per phase)."""
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from repro.runtime.stealing import RR, SchedConfig
 from repro.runtime.trace import Trace
 from repro.sim import simulate_run
 from repro.sim import kernel as K
+from repro.sim.coherence import FSPairs
+from repro.verify.invariants import check_result_internal
 from repro.verify.oracle import diff_states, observe
+
+from test_engine_equivalence import assert_same_columns
 
 NPROCS = 4
 
@@ -233,8 +237,7 @@ class TestEngine:
         assert got.upgrades == want.upgrades
         assert got.refs == want.refs
         assert got.extra_refs == want.extra_refs
-        assert got.fs_by_block == want.fs_by_block
-        assert got.fs_pair_by_block == want.fs_pair_by_block
+        assert_same_columns(got, want)
 
     def test_mitigation_reduces_false_sharing(self, hot):
         checked, layout, run = hot
@@ -347,8 +350,7 @@ class TestSharedCore:
         assert (g.invalidations, g.writebacks, g.upgrades, g.refs) == (
             w.invalidations, w.writebacks, w.upgrades, w.refs,
         )
-        assert g.fs_by_block == w.fs_by_block
-        assert g.fs_pair_by_block == w.fs_pair_by_block
+        assert_same_columns(g, w)
 
     @needs_native
     def test_msi_runs_native_under_auto(self, hot, kernel_mode):
@@ -372,7 +374,7 @@ class TestSharedCore:
         assert (g.invalidations, g.writebacks, g.upgrades, g.refs) == (
             w.invalidations, w.writebacks, w.upgrades, w.refs,
         )
-        assert g.fs_pair_by_block == w.fs_pair_by_block
+        assert_same_columns(g, w)
 
     @needs_native
     def test_out_of_envelope_run_falls_back_under_auto(
@@ -394,7 +396,7 @@ class TestSharedCore:
 
 
 # ---------------------------------------------------------------------------
-# fs_pair_by_block conservation (the engine's signal) across schedulers
+# false-sharing pair conservation (the engine's signal) across schedulers
 # ---------------------------------------------------------------------------
 
 
@@ -406,23 +408,52 @@ def test_fs_pairs_conserved(sched):
     _, _, run = interpret(COUNTER_SRC, sched)
     res = simulate_run(run, 64)
     assert res.misses.false_sharing > 0
-    # per block: the pair breakdown sums exactly to the block's FS count
-    for b, pairs in res.fs_pair_by_block.items():
-        assert sum(pairs.values()) == res.fs_by_block[b]
-        for (writer, missing), n in pairs.items():
-            assert writer != missing and n > 0
-            assert -1 <= writer < NPROCS and -1 <= missing < NPROCS
-    # and the grand total is the headline FS number
-    total = sum(sum(p.values()) for p in res.fs_pair_by_block.values())
-    assert total == res.misses.false_sharing
-    assert set(res.fs_pair_by_block) == {
-        b for b, n in res.fs_by_block.items() if n
-    }
+    # per block, pairs sum to the block's FS count; in total, to the
+    # headline FS number; the pair blocks are the FS blocks
+    assert check_result_internal(res, run.trace, "counter") == []
+    p = res.pairs
+    assert (p.count > 0).all()
+    for col in (p.writer, p.misser):
+        assert ((-1 <= col) & (col < NPROCS)).all()
+
+
+def test_conservation_check_flags_doctored_results():
+    """Each doctored pair record keeps the FS total, so only the
+    per-block law can flag it."""
+    _, _, run = interpret(COUNTER_SRC, RR)
+    res = simulate_run(run, 64)
+    p = res.pairs
+    assert len(np.unique(p.block)) >= 2
+
+    def doctored(writer=p.writer, count=p.count, keep=None):
+        cols = [p.block, writer, p.misser, count]
+        if keep is not None:
+            cols = [c[keep] for c in cols]
+        pairs = FSPairs.of(*cols)
+        return check_result_internal(
+            dataclasses.replace(res, pairs=pairs), run.trace, "doctored"
+        )
+
+    # one miss moved from the first block's pairs to the last block's
+    moved = p.count.copy()
+    moved[0] += 1
+    moved[-1] -= 1
+    assert any("do not sum to their block's FS" in v for v in doctored(count=moved))
+    # the first block's pairs dropped, their misses given to the last
+    first = p.block == p.block[0]
+    shifted = p.count.copy()
+    shifted[-1] += p.count[first].sum()
+    got = doctored(count=shifted, keep=~first)
+    assert any("pair blocks are not the blocks with FS" in v for v in got)
+    # a processor false-sharing with itself
+    selfish = p.writer.copy()
+    selfish[0] = p.misser[0]
+    assert any("writer is its misser" in v for v in doctored(writer=selfish))
 
 
 def test_fs_pairs_deterministic_under_steal():
     runs = [interpret(COUNTER_SRC, SchedConfig("steal", seed=11))[2]
             for _ in range(2)]
     a, b = (simulate_run(r, 64) for r in runs)
-    assert a.fs_pair_by_block == b.fs_pair_by_block
+    assert_same_columns(a, b)
     assert a.misses.as_tuple() == b.misses.as_tuple()

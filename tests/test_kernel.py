@@ -27,7 +27,7 @@ from repro.sim.engine import (
 )
 from repro.workloads.registry import SIMULATION_WORKLOADS
 
-from test_engine_equivalence import make_trace
+from test_engine_equivalence import assert_same_columns, make_trace
 
 HAVE_NATIVE = K.load_kernel() is not None
 
@@ -45,9 +45,7 @@ def assert_same_result(got, ref):
     assert got.writebacks == ref.writebacks
     assert got.upgrades == ref.upgrades
     assert got.refs == ref.refs
-    assert got.fs_by_block == ref.fs_by_block
-    assert got.miss_by_block == ref.miss_by_block
-    assert got.fs_pair_by_block == ref.fs_pair_by_block
+    assert_same_columns(got, ref)
 
 
 events_strategy = st.lists(
