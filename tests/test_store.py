@@ -7,6 +7,7 @@ round-trip property (ingest -> query returns the source records), and
 the warm grouped-aggregate query over 1,000+ records in under a second.
 """
 
+import hashlib
 import json
 import multiprocessing as mp
 import time
@@ -377,3 +378,164 @@ class TestQuery:
         assert res.matched == 1200
         assert sum(r["count"] for r in res.rows) == 1200
         assert elapsed < 1.0, f"grouped query took {elapsed:.2f}s"
+
+
+# ---------------------------------------------------------------------------
+# pinned history: the store's bytes and every read-side view, by digest
+# ---------------------------------------------------------------------------
+
+
+def _sha(*parts: str) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def pinned_records() -> list[dict]:
+    """48 records over 4 workloads x 3 block sizes, two kernels, and one
+    distinct fixed ``ts`` each."""
+    recs = []
+    for i in range(48):
+        w = ("Maxflow/N", "Maxflow/C", "Water/N", "Water/C")[i % 4]
+        recs.append(make_record(
+            i, workload=w, block_size=(16, 64, 128)[(i // 4) % 3],
+            fs=(500 if w.endswith("N") else 60) + i,
+            kernel="native" if i % 2 else "python",
+            ts=f"2026-08-{1 + i // 4:02d}T{i % 24:02d}:{i:02d}:00+00:00",
+        ))
+    return recs
+
+
+def regression_history() -> list[dict]:
+    """Two clean baseline keys, one key too short to judge, and one key
+    whose newest record doubles its false-sharing misses."""
+    recs = []
+    for k, (w, fs) in enumerate((("Maxflow/N", 400), ("Water/C", 50),
+                                 ("Barnes/N", 120))):
+        for i in range(12):
+            recs.append(make_record(
+                i, workload=w, fs=fs, kernel="python",
+                wall_seconds=1.0 + (i % 3) / 100.0,
+                ts=f"2026-09-{1 + i:02d}T{k:02d}:00:00+00:00",
+            ))
+    recs += [
+        make_record(i, workload="Fmm/C", fs=70, kernel="native",
+                    ts=f"2026-09-1{i}T05:00:00+00:00")
+        for i in range(2)
+    ]
+    recs.append(make_record(
+        99, workload="Maxflow/N", fs=800, kernel="python",
+        ts="2026-09-20T00:00:00+00:00",
+    ))
+    return recs
+
+
+def shard_digest(store: RunStore) -> str:
+    return _sha(*(
+        f"{p.name}:{p.read_text()}"
+        for p in sorted((store.root / "shards").glob("*.jsonl"))
+    ))
+
+
+#: Query.build arguments of the six pinned queries
+PINNED_QUERIES = {
+    "grouped": dict(group_by="workload,block_size",
+                    aggregates=["mean:fs", "count", "p95:wall_seconds"]),
+    "equality": dict(where=["workload=Water/C"]),
+    "unindexed": dict(where=["misses.false>=530"],
+                      fields="ts,workload,fs,kernel"),
+    "window": dict(since="2026-08-04", until="2026-08-09T12",
+                   group_by="kernel", aggregates=["count", "sum:refs"]),
+    "sort_limit": dict(sort="-fs", limit=5),
+    "absent": dict(where=["workload=DoesNotExist"]),
+}
+
+PINNED_HISTORY = {
+    "shards": "cb156cbd90c09c80453ed52bcb0b909b4a1c147afed89e3a763fb6b4a825c935",
+    "grouped": "bb8032f564574b98b24a8aef9e20b0c6af2730e4eeaeed5dc0bbc9b56531dc31",
+    "equality": "55455d2f779695461c051d1aa3893fbff940fa4982120daedd5695cab4a1d312",
+    "unindexed": "f0a331f411d10e01ce32798af37e05a1ca504fe2609d0e64536aa7e890c27686",
+    "window": "6a0fddc9d57a0f7a313842afae2981ce5bb34a2757e087247d6906a30365ed2e",
+    "sort_limit": "0c7e9cc88ac07f09f6323b591bb42308e44c471d4ad22ceba4b48757e27759b5",
+    "absent": "83db4562a9b6baf1e2476cf9456de5f1b3518275cfd73a617d483d11399f59a7",
+    "check_records": "77b5dc0d4c3e333e65dfcb07c34245f0a496154b22441be8632f2487cd9e8a20",
+    "check_store": "77b5dc0d4c3e333e65dfcb07c34245f0a496154b22441be8632f2487cd9e8a20",
+    "bench_trajectory": "7a5163070683431975e1128ebba6044158c867418ea98dab5760b4067e4dc7db",
+    "dashboard": "4d263ac5971b40f8599adf5ee69b36f811778d777d2e237c4262201395671de0",
+}
+
+
+class TestPinnedHistory:
+    @pytest.fixture()
+    def pinned(self, store):
+        rep = store.ingest_records(pinned_records())
+        assert rep.describe() == (
+            "ingested 48 of 48 records (0 duplicate, 0 corrupt)"
+        )
+        return store
+
+    def test_shard_bytes(self, pinned):
+        assert shard_digest(pinned) == PINNED_HISTORY["shards"]
+        rep = pinned.ingest_records(pinned_records())
+        assert rep.describe() == (
+            "ingested 0 of 48 records (48 duplicate, 0 corrupt)"
+        )
+        assert shard_digest(pinned) == PINNED_HISTORY["shards"]
+        assert pinned.count() == 48
+
+    @pytest.mark.parametrize("name", sorted(PINNED_QUERIES))
+    def test_query_views(self, pinned, name):
+        res = run_query(pinned, Query.build(**PINNED_QUERIES[name]))
+        views = (str(res.matched), res.to_table(), res.to_json(), res.to_csv())
+        assert _sha(*views) == (
+            PINNED_HISTORY[name]
+        )
+
+    def test_sentinel_views(self, store, tmp_path):
+        from repro.obs.sentinel import (
+            check_bench_trajectory,
+            check_records,
+            check_store,
+        )
+
+        recs = regression_history()
+        assert _sha(check_records(recs).describe()) == (
+            PINNED_HISTORY["check_records"]
+        )
+        store.ingest_records(recs)
+        assert _sha(check_store(store).describe()) == (
+            PINNED_HISTORY["check_store"]
+        )
+        slow = [
+            {"bench": "grid_warm", "python_seconds": 10.0 + i * 0.01,
+             "native_seconds": 1.0}
+            for i in range(8)
+        ] + [{"bench": "grid_warm", "python_seconds": 20.0,
+              "native_seconds": 1.0}]
+        stable = [
+            {"bench": "grid_warm", "python_seconds": 10.0 + i * 0.01}
+            for i in range(8)
+        ]
+        (tmp_path / "slow.json").write_text(json.dumps(slow))
+        (tmp_path / "stable.json").write_text(json.dumps(stable))
+        (tmp_path / "bad.json").write_text("{not json")
+        reports = [
+            check_bench_trajectory(tmp_path / "slow.json",
+                                   ("python_seconds", "native_seconds")),
+            check_bench_trajectory(tmp_path / "stable.json",
+                                   ("python_seconds",)),
+            check_bench_trajectory(tmp_path / "nope.json",
+                                   ("python_seconds",)),
+            check_bench_trajectory(tmp_path / "bad.json",
+                                   ("python_seconds",)),
+        ]
+        assert _sha(*(r.describe() for r in reports)) == (
+            PINNED_HISTORY["bench_trajectory"]
+        )
+
+    def test_dashboard(self, pinned):
+        from repro.obs.dashboard import render_dashboard
+
+        assert _sha(render_dashboard(pinned)) == PINNED_HISTORY["dashboard"]
