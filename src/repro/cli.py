@@ -667,7 +667,6 @@ def cmd_history(args) -> int:
         print(result.to_table())
         print(
             f"[{result.matched}/{result.scanned} records, "
-            f"{result.shards_pruned} shards pruned, "
             f"{result.seconds * 1000:.0f} ms]",
             file=sys.stderr,
         )
@@ -956,8 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     def store_opts(p):
         p.add_argument(
             "--store", metavar="DIR", default=None,
-            help="run-record store root (default: $REPRO_OBS_STORE "
-            "or .repro/store)",
+            help="run-record store root (default: .repro/store)",
         )
         p.add_argument(
             "--ingest", metavar="LOG", action="append", default=None,

@@ -50,19 +50,12 @@ class VersionRun:
     interp_seconds: float = 0.0
     #: True when the run was replayed from the persistent trace cache
     from_cache: bool = False
-    #: lazily built by :meth:`regions` — layout and heap segments are
-    #: fixed once the run exists, so one map serves every block size
-    _region_map: Optional[RegionMap] = None
 
     def simulate(self, block_size: int, **kw) -> SimResult:
         return simulate_run(self.run, block_size, **kw)
 
     def regions(self) -> RegionMap:
-        if self._region_map is None:
-            self._region_map = build_region_map(
-                self.layout, self.run.heap_segments
-            )
-        return self._region_map
+        return build_region_map(self.layout, self.run.heap_segments)
 
     def timing(self, machine=None) -> TimingResult:
         return time_run(self.run, machine)

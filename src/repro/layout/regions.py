@@ -9,6 +9,7 @@ attributions in reports.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +117,34 @@ class RegionMap:
         return names
 
 
+#: layout -> heap segments -> its map; a layout's placement is fixed at
+#: construction, and an entry goes when its layout does
+_REGION_MAPS: weakref.WeakKeyDictionary[DataLayout, dict[tuple, RegionMap]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def build_region_map(
     layout: DataLayout,
     heap_segments: list[tuple[int, int, str]] | None = None,
 ) -> RegionMap:
-    """Build the reverse map for a layout, optionally including the heap
-    segments the interpreter recorded at alloc() time."""
+    """The reverse map for a layout, optionally including the heap
+    segments the interpreter recorded at alloc() time.  Built once per
+    (layout, heap segments); later calls share it."""
+    heap = tuple(heap_segments or ())
+    per_layout = _REGION_MAPS.setdefault(layout, {})
+    regions = per_layout.get(heap)
+    if regions is None:
+        regions = per_layout[heap] = _build(layout, heap)
+    return regions
+
+
+def _build(layout: DataLayout, heap_segments: tuple) -> RegionMap:
     segs: list[Segment] = []
     for name, info in layout.globals.items():
         segs.append(Segment(info.base, info.size, name))
     for member in layout.group_members():
         segs.extend(Segment(addr, member.size, member.label) for addr in member.table)
-    for addr, size, label in heap_segments or []:
+    for addr, size, label in heap_segments:
         segs.append(Segment(addr, size, label))
     return RegionMap(segs)

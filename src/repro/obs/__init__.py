@@ -19,7 +19,7 @@ Three layers, all off (and effectively free) unless asked for:
 On top of the manifests sits the run-history layer:
 
 * **Store** (:mod:`repro.obs.store`): manifests ingested into a
-  sharded, content-addressed, indexed record store.
+  sharded, content-addressed record store.
 * **Query** (:mod:`repro.obs.query`): filter / group-by / aggregate /
   time-window queries over the store (``repro history``).
 * **Sentinel** (:mod:`repro.obs.sentinel`): rolling per-configuration

@@ -23,7 +23,7 @@ import html
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.obs.query import get_field
+from repro.obs.query import get_number
 from repro.obs.store import RunStore
 
 #: Chart geometry (SVG user units).
@@ -160,16 +160,9 @@ def _by_workload(records: Sequence[dict]) -> dict[str, list[dict]]:
     return out
 
 
-def _num(rec: dict, path: str) -> Optional[float]:
-    v = get_field(rec, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    return float(v)
-
-
 def _hit_rate(rec: dict, prefix: str) -> Optional[float]:
-    hit = _num(rec, f"perf.{prefix}.hit")
-    miss = _num(rec, f"perf.{prefix}.miss")
+    hit = get_number(rec, f"perf.{prefix}.hit")
+    miss = get_number(rec, f"perf.{prefix}.miss")
     if hit is None and miss is None:
         return None
     hit, miss = hit or 0.0, miss or 0.0
@@ -242,7 +235,7 @@ def render_dashboard(
     for name, recs in picked:
         series = []
         for label, path in MISS_SERIES:
-            ys = [v for v in (_num(r, path) for r in recs) if v is not None]
+            ys = [v for v in (get_number(r, path) for r in recs) if v is not None]
             if ys:
                 series.append((label, ys))
         sections.append(f"<h3>{_esc(name)}</h3>")
@@ -251,7 +244,7 @@ def render_dashboard(
     sections.append("<h2>False sharing over time</h2>")
     heat_rows = []
     for name, recs in picked:
-        vs = [v for v in (_num(r, "misses.false") for r in recs)
+        vs = [v for v in (get_number(r, "misses.false") for r in recs)
               if v is not None]
         if vs:
             heat_rows.append((name, vs))
@@ -275,7 +268,7 @@ def render_dashboard(
     span_names = _span_totals(records)[:max_spans]
     span_series = []
     for name in span_names:
-        ys = [v for v in (_num(r, f"spans.{name}") for r in records)
+        ys = [v for v in (get_number(r, f"spans.{name}") for r in records)
               if v is not None]
         if len(ys) >= 2:
             span_series.append((name, ys))

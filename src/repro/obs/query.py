@@ -18,10 +18,9 @@ finds ``rec["perf"]["trace_cache.hit"]``.  Short aliases cover the
 common metrics (``fs`` → ``misses.false``, ``wall`` →
 ``wall_seconds``).
 
-The engine reads shard files through :class:`~repro.obs.store.RunStore`
-and uses the per-shard column indexes only to skip shards that cannot
-match an equality filter or the time window — pruning is a performance
-hint, never a source of truth.
+Every query is one scan of the shard files through
+:class:`~repro.obs.store.RunStore` (:func:`scan`, shared with the
+regression sentinel); the store keeps no index to consult first.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.obs.store import INDEXED_COLUMNS, SHARD_DIGITS, RunStore
+from repro.obs.store import RunStore
 
 #: Short names for the metrics people actually query.
 ALIASES = {
@@ -74,6 +73,8 @@ def get_field(rec: dict, path: str):
     actual key wins.  Returns None when nothing matches.
     """
     parts = canonical_field(path).split(".")
+    if len(parts) == 1:  # a top-level column: the common filter and key
+        return rec.get(parts[0])
 
     def walk(obj, parts):
         if not parts:
@@ -89,6 +90,15 @@ def get_field(rec: dict, path: str):
         return None
 
     return walk(rec, parts)
+
+
+def get_number(rec: dict, path: str) -> Optional[float]:
+    """The field at ``path`` as a float; None when it is missing, not a
+    number, or a boolean."""
+    v = get_field(rec, path)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    return float(v)
 
 
 def _coerce(raw: str):
@@ -307,10 +317,9 @@ class Query:
 class QueryResult:
     columns: list[str]
     rows: list[dict]
-    #: records examined / matched, shards skipped via indexes, seconds
+    #: records examined / matched, seconds
     scanned: int = 0
     matched: int = 0
-    shards_pruned: int = 0
     seconds: float = 0.0
 
     def to_json(self) -> str:
@@ -359,21 +368,6 @@ def _fmt_cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _shard_can_match(idx: dict, query: Query) -> bool:
-    """False only when the index *proves* no record can match."""
-    if not idx["ids"]:
-        return False
-    if query.since and idx.get("ts_max") and idx["ts_max"] < query.since:
-        return False
-    if query.until and idx.get("ts_min") and idx["ts_min"] > query.until:
-        return False
-    for f in query.where:
-        if f.op == "==" and f.field in INDEXED_COLUMNS:
-            if str(f.value) not in idx["cols"].get(f.field, {}):
-                return False
-    return True
-
-
 def _in_window(rec: dict, query: Query) -> bool:
     ts = str(rec.get("ts") or "")
     if query.since and ts < query.since:
@@ -383,44 +377,30 @@ def _in_window(rec: dict, query: Query) -> bool:
     return True
 
 
-def scan(store: RunStore, query: Query) -> Iterator[dict]:
-    """Matching records, shard by shard (index-pruned)."""
-    for digit in SHARD_DIGITS:
-        idx = store.shard_index(digit)
-        if not _shard_can_match(idx, query):
-            continue
-        for rec in store.records([digit]):
-            if not _in_window(rec, query):
-                continue
-            if all(f.matches(rec) for f in query.where):
-                yield rec
+def scan(store: RunStore, query: Query,
+         counter: Optional[list[int]] = None) -> Iterator[dict]:
+    """Matching records, shard by shard; ``counter[0]`` (when given)
+    counts every record examined."""
+    for rec in store.records():
+        if counter is not None:
+            counter[0] += 1
+        if _in_window(rec, query) and all(
+            f.matches(rec) for f in query.where
+        ):
+            yield rec
 
 
 def run_query(store: RunStore, query: Query) -> QueryResult:
     """Execute ``query`` against ``store``."""
     t0 = _time.perf_counter()
-    pruned = 0
-    matched: list[dict] = []
-    scanned = 0
-    for digit in SHARD_DIGITS:
-        idx = store.shard_index(digit)
-        if not _shard_can_match(idx, query):
-            pruned += 1
-            continue
-        for rec in store.records([digit]):
-            scanned += 1
-            if not _in_window(rec, query):
-                continue
-            if all(f.matches(rec) for f in query.where):
-                matched.append(rec)
-
+    scanned = [0]
+    matched = list(scan(store, query, scanned))
     if query.group_by:
         result = _grouped(matched, query)
     else:
         result = _projected(matched, query)
-    result.scanned = scanned
+    result.scanned = scanned[0]
     result.matched = len(matched)
-    result.shards_pruned = pruned
     result.seconds = _time.perf_counter() - t0
     return result
 

@@ -32,20 +32,20 @@ Two front ends share the rule:
   :class:`~repro.obs.store.RunStore` against its history (the
   ``repro history --sentinel`` CLI and the CI job).
 * :func:`check_bench_trajectory` — evaluate the last point of a
-  ``benchmarks/results/BENCH_*.json`` trajectory (wired into
-  ``bench_engine.py`` so a tracked slowdown can fail CI; opt in with
-  ``REPRO_BENCH_SENTINEL=1``).
+  ``benchmarks/results/BENCH_*.json`` trajectory (``bench_engine.py``
+  prints its alerts after every run).
+
+Both judge their series through the same per-key loop.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from repro.obs.query import Query, get_field, scan
+from repro.obs.query import Query, get_number, scan
 from repro.obs.store import RunStore
 
 #: The baseline key: runs are comparable only within one of these.
@@ -53,9 +53,6 @@ KEY_FIELDS = ("workload", "plan", "nprocs", "block_size", "kernel")
 
 #: Metrics watched by default (canonical dotted paths).
 DEFAULT_METRICS = ("misses.false", "cycles", "wall_seconds")
-
-#: Environment switch making a bench-trajectory alert fatal in CI.
-BENCH_SENTINEL_ENV = "REPRO_BENCH_SENTINEL"
 
 #: Gaussian consistency constant for the MAD (sigma = MAD_SCALE * MAD).
 MAD_SCALE = 1.4826
@@ -192,40 +189,45 @@ def check_records(
 ) -> SentinelReport:
     """Evaluate the newest record of every baseline key against the
     rolling window of its predecessors."""
-    cfg = cfg or SentinelConfig()
+    return _check_series(
+        sorted(_series(records).items(), key=str), cfg or SentinelConfig()
+    )
+
+
+def _check_series(
+    series: Iterable[tuple[object, list[dict]]],
+    cfg: SentinelConfig,
+    alert_key: Callable[[object, str], tuple] = lambda key, _metric: key,
+) -> SentinelReport:
+    """Judge the newest point of every ``(key, points)`` series against
+    the rolling window of its predecessors, metric by metric.  A key
+    with no metric to judge counts once as untracked."""
     report = SentinelReport()
-    for key, recs in sorted(_series(records).items(), key=str):
+    for key, recs in series:
         if len(recs) < 2:
             report.untracked += 1
             continue
         latest, history = recs[-1], recs[:-1]
         evaluated = False
         for metric in cfg.metrics:
-            value = _metric(latest, metric)
+            value = get_number(latest, metric)
             if value is None:
                 continue
             base = [
                 v
-                for v in (_metric(r, metric) for r in history)
+                for v in (get_number(r, metric) for r in history)
                 if v is not None
             ][-cfg.window:]
             if len(base) < cfg.min_samples:
                 continue
             evaluated = True
             report.checked += 1
-            alert = evaluate(value, base, metric, key, cfg)
+            alert = evaluate(value, base, metric, alert_key(key, metric), cfg)
             if alert is not None:
                 report.alerts.append(alert)
         if not evaluated:
             report.untracked += 1
     return report
-
-
-def _metric(rec: dict, metric: str) -> Optional[float]:
-    v = get_field(rec, metric)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    return float(v)
 
 
 def check_store(
@@ -252,56 +254,27 @@ def check_bench_trajectory(
 ) -> SentinelReport:
     """Sentinel over a ``BENCH_*.json`` trajectory (a JSON list of
     points).  Points are grouped by ``group_field``; the last point of
-    each group is judged against the prior ones.  Missing/corrupt files
-    and non-numeric metric values are quietly untracked — the bench
-    must keep working on a fresh checkout."""
+    each group is judged against the prior ones on ``metrics`` (the
+    default config's; a given ``cfg`` brings its own).  Missing/corrupt
+    files and non-numeric metric values are quietly untracked — the
+    bench must keep working on a fresh checkout."""
     cfg = cfg or SentinelConfig(
         metrics=metrics,
         abs_floor={m: 0.05 for m in metrics},
         min_samples=3,
         rel=0.30,
     )
-    report = SentinelReport()
-    p = Path(path)
     try:
-        points = json.loads(p.read_text())
+        points = json.loads(Path(path).read_text())
     except (OSError, ValueError):
-        report.untracked += 1
-        return report
+        points = None
     if not isinstance(points, list):
-        report.untracked += 1
-        return report
+        return SentinelReport(untracked=1)
     groups: dict[str, list[dict]] = {}
     for pt in points:
         if isinstance(pt, dict):
             groups.setdefault(str(pt.get(group_field, "")), []).append(pt)
-    for name, pts in sorted(groups.items()):
-        if len(pts) < 2:
-            report.untracked += 1
-            continue
-        latest, history = pts[-1], pts[:-1]
-        for metric in metrics:
-            value = _metric(latest, metric)
-            if value is None:
-                continue
-            base = [
-                v
-                for v in (_metric(h, metric) for h in history)
-                if v is not None
-            ][-cfg.window:]
-            if len(base) < cfg.min_samples:
-                report.untracked += 1
-                continue
-            report.checked += 1
-            alert = evaluate(
-                value, base, metric, (name, metric, "", "", ""), cfg
-            )
-            if alert is not None:
-                report.alerts.append(alert)
-    return report
-
-
-def bench_sentinel_fatal() -> bool:
-    """Whether a bench-trajectory alert should fail the run (CI opt-in
-    via ``REPRO_BENCH_SENTINEL=1``)."""
-    return os.environ.get(BENCH_SENTINEL_ENV, "").strip() in {"1", "on", "yes"}
+    return _check_series(
+        sorted(groups.items()), cfg,
+        lambda name, metric: (name, metric, "", "", ""),
+    )

@@ -15,11 +15,9 @@ import repro
 from repro.errors import ReproError
 
 KNOBS = {
-    "REPRO_BENCH_SENTINEL",
     "REPRO_JOBS",
     "REPRO_KERNEL_CACHE",
     "REPRO_MACHINE",
-    "REPRO_OBS_STORE",
     "REPRO_PROFILE",
     "REPRO_RUN_LOG",
     "REPRO_SCHED",

@@ -197,14 +197,6 @@ class TestBenchTrajectory:
         bad.write_text("{not json")
         assert check_bench_trajectory(bad, ("python_seconds",)).ok
 
-    def test_fatal_only_with_env_optin(self, monkeypatch):
-        from repro.obs.sentinel import bench_sentinel_fatal
-
-        monkeypatch.delenv("REPRO_BENCH_SENTINEL", raising=False)
-        assert not bench_sentinel_fatal()
-        monkeypatch.setenv("REPRO_BENCH_SENTINEL", "1")
-        assert bench_sentinel_fatal()
-
 
 class TestAlert:
     def test_describe_names_key_fields(self):
